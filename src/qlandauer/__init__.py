@@ -6,8 +6,7 @@ ledger (info), the sideband readout chain (readout), experiment
 orchestration (protocol), and the command line (cli).
 """
 
-from .linalg import DensityMatrix, Spectrum, kron, partial_trace, hermitian_eig, \
-    expm_i_hermitian, entropy_log
+from .linalg import DensityMatrix, kron, partial_trace
 from .ion import (
     ETA_DEFAULT,
     OMEGA_DEFAULT,
@@ -16,24 +15,18 @@ from .ion import (
     FockTruncation,
     JointState,
     PulseParams,
-    SystemPrep,
-    blue_sideband_hamiltonian,
     carrier_rotation,
     dephase_qubit,
     evolve,
     jc_block_unitary,
-    prepare_initial,
-    red_sideband_hamiltonian,
     thermal_state,
 )
 from .info import (
     LandauerLedger,
-    SupportViolationError,
     UnitSystem,
     ZeroTemperatureError,
     landauer_ledger,
     mutual_information,
-    relative_entropy,
     reservoir_energy,
     temperature_from_nbar,
     von_neumann_entropy,
@@ -46,9 +39,7 @@ from .readout import (
     exact_trace,
     fit_phonon_populations,
     model_trace,
-    read_trace,
     sample_shots,
-    write_trace,
 )
 from .protocol import (
     ExperimentConfig,

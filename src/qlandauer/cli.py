@@ -11,13 +11,14 @@ numeric table form, a failed equality check, or fit non-convergence under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from .info import UnitSystem
-from .ion import ETA_DEFAULT, OMEGA_DEFAULT, OMEGA_Z_DEFAULT, PulseParams
+from .info import LandauerLedger, UnitSystem
+from .ion import PulseParams
 from .protocol import (
     NBAR_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
@@ -40,32 +41,34 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# key -> (parser, default); None defaults mean "derived at build time".
+# key -> parser.  Unset keys take the defaults of the ExperimentConfig,
+# PulseParams, Imperfections and UnitSystem field of the same name, and of
+# the *_GRID_DEFAULT sweep grids; an unset t_pulse means the pi pulse.
 CONFIG_KEYS = {
-    "theta_c": (float, math.pi / 2),
-    "nbar0": (float, 0.074),
-    "eta": (float, ETA_DEFAULT),
-    "omega": (float, OMEGA_DEFAULT),
-    "phi": (float, 0.0),
-    "t_pulse": (float, None),          # None -> pi/(eta*omega)
-    "omega_z": (float, OMEGA_Z_DEFAULT),
-    "n_max": (int, None),              # None -> automatic sizing
-    "shots": (int, 0),
-    "seed": (int, 2024),
-    "readout_points": (int, 30),
-    "readout_span": (float, None),     # None -> 6 * t_op
-    "gamma0": (float, 0.0),
-    "decay_alpha": (float, 0.7),
-    "n_fit": (int, None),              # None -> default_n_fit rule
-    "init_fidelity": (float, 1.0),
-    "detection_epsilon": (float, 0.0),
-    "cool_nbar": (float, 0.0),
-    "nbar_min": (float, NBAR_GRID_DEFAULT[0]),
-    "nbar_max": (float, NBAR_GRID_DEFAULT[1]),
-    "nbar_points": (int, NBAR_GRID_DEFAULT[2]),
-    "theta_min": (float, THETA_GRID_DEFAULT[0]),
-    "theta_max": (float, THETA_GRID_DEFAULT[1]),
-    "theta_points": (int, THETA_GRID_DEFAULT[2]),
+    "theta_c": float,
+    "nbar0": float,
+    "eta": float,
+    "omega": float,
+    "phi": float,
+    "t_pulse": float,
+    "omega_z": float,
+    "n_max": int,
+    "shots": int,
+    "seed": int,
+    "readout_points": int,
+    "readout_span": float,
+    "gamma0": float,
+    "decay_alpha": float,
+    "n_fit": int,
+    "init_fidelity": float,
+    "detection_epsilon": float,
+    "cool_nbar": float,
+    "nbar_min": float,
+    "nbar_max": float,
+    "nbar_points": int,
+    "theta_min": float,
+    "theta_max": float,
+    "theta_points": int,
 }
 
 SUBCOMMANDS = ("verify", "sweep-temp", "sweep-theta", "crossings", "readout", "run")
@@ -94,13 +97,15 @@ def _build_parser() -> _Parser:
                         help="flat key = value config file")
         sp.add_argument("--output", "-o", dest="output_path", default=None,
                         help="write results here instead of stdout")
-        sp.add_argument("--format", choices=("table", "structured"), default=None,
-                        help="output format (default: table for sweeps, structured otherwise)")
+        if name in ("verify", "run", "readout"):
+            sp.add_argument("--format", choices=("table", "structured"),
+                            default="structured", help="output format")
         sp.add_argument("--realistic", action="store_true",
                         help="enable the quoted hardware imperfection preset")
-        sp.add_argument("--strict", action="store_true",
-                        help="treat fit non-convergence as a numerical failure")
-        for key, (kind, _) in CONFIG_KEYS.items():
+        if name == "readout":
+            sp.add_argument("--strict", action="store_true",
+                            help="treat fit non-convergence as a numerical failure")
+        for key, kind in CONFIG_KEYS.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
                             default=None, metavar=key.upper())
     return parser
@@ -124,12 +129,16 @@ def parse_config_file(path: str) -> dict:
         key, text = key.strip(), text.strip()
         if key not in CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind, _ = CONFIG_KEYS[key]
         try:
-            values[key] = kind(text)
+            values[key] = CONFIG_KEYS[key](text)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
+
+
+def _fields(cls) -> list[str]:
+    """Names of the dataclass fields of cls that are also config keys."""
+    return [f.name for f in dataclasses.fields(cls) if f.name in CONFIG_KEYS]
 
 
 def load_config(config_path: str | None, overrides: dict,
@@ -140,45 +149,26 @@ def load_config(config_path: str | None, overrides: dict,
     grid keys live only in the latter).  With ``realistic`` the quoted
     imperfection preset provides the baseline; explicitly set keys still win.
     """
-    values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
-    explicit: set[str] = set()
-    if config_path is not None:
-        file_values = parse_config_file(config_path)
-        values.update(file_values)
-        explicit |= set(file_values)
-    cli_values = {k: v for k, v in overrides.items() if v is not None}
-    values.update(cli_values)
-    explicit |= set(cli_values)
-
     base = REALISTIC_IMPERFECTIONS if realistic else Imperfections()
-    imperfections = Imperfections(
-        init_fidelity=values["init_fidelity"] if "init_fidelity" in explicit else base.init_fidelity,
-        detection_epsilon=values["detection_epsilon"] if "detection_epsilon" in explicit else base.detection_epsilon,
-        cool_nbar=values["cool_nbar"] if "cool_nbar" in explicit else base.cool_nbar,
-    )
+    values = {key: getattr(obj, key)
+              for obj in (ExperimentConfig(), PulseParams(), base, UnitSystem())
+              for key in _fields(type(obj))}
+    values["t_pulse"] = None
+    values.update(zip(("nbar_min", "nbar_max", "nbar_points"), NBAR_GRID_DEFAULT))
+    values.update(zip(("theta_min", "theta_max", "theta_points"), THETA_GRID_DEFAULT))
+    if config_path is not None:
+        values.update(parse_config_file(config_path))
+    values.update({k: v for k, v in overrides.items() if v is not None})
 
-    duration = values["t_pulse"]
-    if duration is None:
-        duration = math.pi / (values["eta"] * values["omega"])
     try:
-        pulse = PulseParams(eta=values["eta"], omega=values["omega"],
-                            phi=values["phi"], duration=duration)
-        readout_pulse = PulseParams(eta=values["eta"], omega=values["omega"],
-                                    phi=values["phi"], duration=0.0)
+        readout_pulse = PulseParams(**{key: values[key] for key in _fields(PulseParams)},
+                                    duration=0.0)
+        duration = readout_pulse.t_op if values["t_pulse"] is None else values["t_pulse"]
         config = ExperimentConfig(
-            theta_c=values["theta_c"],
-            nbar0=values["nbar0"],
-            pulse=pulse,
+            pulse=readout_pulse.with_duration(duration),
             readout_pulse=readout_pulse,
-            n_max=values["n_max"],
-            shots=values["shots"],
-            seed=values["seed"],
-            readout_points=values["readout_points"],
-            readout_span=values["readout_span"],
-            gamma0=values["gamma0"],
-            decay_alpha=values["decay_alpha"],
-            n_fit=values["n_fit"],
-            imperfections=imperfections,
+            imperfections=Imperfections(**{key: values[key] for key in _fields(Imperfections)}),
+            **{key: values[key] for key in _fields(ExperimentConfig)},
         )
         config.validate()
     except ValueError as exc:
@@ -208,7 +198,6 @@ def _row_table(rows, command: str, config: ExperimentConfig) -> str:
 
 def _cmd_verify(config: ExperimentConfig, values: dict, fmt: str) -> str:
     ledger, _, _ = run_erasure(config)
-    fmt = fmt or "structured"
     _require_numeric(ledger, fmt)
     text = format_ledger_summary(ledger, config, provenance_line("verify", config),
                                  units=UnitSystem(values["omega_z"]))
@@ -225,9 +214,16 @@ def _cmd_verify(config: ExperimentConfig, values: dict, fmt: str) -> str:
 
 
 def _cmd_run(config: ExperimentConfig, values: dict, fmt: str) -> str:
-    fmt = fmt or "structured"
     row = simulated_readout_run(config)
-    ledger, _, _ = run_erasure(config)
+    # The row carries every ledger term of its erasure; e_initial and e_final
+    # are the exact pre- and post-erasure mean phonon numbers.
+    ledger = LandauerLedger(
+        delta_q=row.exact_mean_phonon - row.exact_mean_phonon_pre,
+        e_initial=row.exact_mean_phonon_pre,
+        e_final=row.exact_mean_phonon,
+        **{key: getattr(row, key) for key in ("temperature", "lhs", "delta_s", "mutual_info",
+                                              "relative_entropy", "rhs", "residual")},
+    )
     _require_numeric(ledger, fmt)
     if fmt == "table":
         return _row_table([row], "run", config)
@@ -245,9 +241,8 @@ def _cmd_run(config: ExperimentConfig, values: dict, fmt: str) -> str:
     return text
 
 
-def _cmd_readout(config: ExperimentConfig, values: dict, fmt: str, strict: bool) -> str:
+def _cmd_readout(config: ExperimentConfig, fmt: str, strict: bool) -> str:
     row = simulated_readout_run(config)
-    fmt = fmt or "structured"
     if strict and not row.fit_converged:
         raise NumericalFailure("phonon fit hit the iteration cap without converging")
     if fmt == "table":
@@ -262,7 +257,7 @@ def _cmd_readout(config: ExperimentConfig, values: dict, fmt: str, strict: bool)
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep_temp(config: ExperimentConfig, values: dict, fmt: str) -> str:
+def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
     lo, hi, n = values["nbar_min"], values["nbar_max"], values["nbar_points"]
     if not 0 < lo <= hi:
         raise CliError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
@@ -273,7 +268,7 @@ def _cmd_sweep_temp(config: ExperimentConfig, values: dict, fmt: str) -> str:
     return _row_table(rows, "sweep-temp", config)
 
 
-def _cmd_sweep_theta(config: ExperimentConfig, values: dict, fmt: str) -> str:
+def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
     lo, hi, n = values["theta_min"], values["theta_max"], values["theta_points"]
     if not 0 <= lo <= hi <= math.pi:
         raise CliError(f"invalid theta grid: theta_min={lo}, theta_max={hi}")
@@ -284,7 +279,7 @@ def _cmd_sweep_theta(config: ExperimentConfig, values: dict, fmt: str) -> str:
     return _row_table(rows, "sweep-theta", config)
 
 
-def _cmd_crossings(config: ExperimentConfig, values: dict, fmt: str) -> str:
+def _cmd_crossings(config: ExperimentConfig) -> str:
     theta_low, theta_high = find_entropy_zero_crossings(config)
     lines = [
         provenance_line("crossings", config),
@@ -304,19 +299,18 @@ def parse_and_dispatch(argv: list[str]) -> int:
             raise CliError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
         config, values = load_config(args.config_path, overrides, args.realistic)
-        fmt = args.format
         if args.subcommand == "verify":
-            text = _cmd_verify(config, values, fmt)
+            text = _cmd_verify(config, values, args.format)
         elif args.subcommand == "run":
-            text = _cmd_run(config, values, fmt)
+            text = _cmd_run(config, values, args.format)
         elif args.subcommand == "readout":
-            text = _cmd_readout(config, values, fmt, args.strict)
+            text = _cmd_readout(config, args.format, args.strict)
         elif args.subcommand == "sweep-temp":
-            text = _cmd_sweep_temp(config, values, fmt)
+            text = _cmd_sweep_temp(config, values)
         elif args.subcommand == "sweep-theta":
-            text = _cmd_sweep_theta(config, values, fmt)
+            text = _cmd_sweep_theta(config, values)
         else:
-            text = _cmd_crossings(config, values, fmt)
+            text = _cmd_crossings(config)
         _emit(text, args.output_path)
         return EXIT_OK
     except CliError as exc:

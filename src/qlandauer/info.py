@@ -16,23 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LOG_EIGENVALUE_CUTOFF, DensityMatrix, hermitian_eig
+from .linalg import LOG_EIGENVALUE_CUTOFF, DensityMatrix
 from .ion import OMEGA_Z_DEFAULT, JointState
 
 HBAR_JS = 1.054571817e-34
 KB_J_PER_K = 1.380649e-23
 
-# rho1 weight tolerated on a zero eigenvalue of rho2 before the relative
-# entropy is declared divergent.
-SUPPORT_TOL = 1e-12
-
 
 class ZeroTemperatureError(ValueError):
     """Raised where a 1/T quantity is requested at nbar = 0."""
-
-
-class SupportViolationError(ValueError):
-    """Relative entropy diverges: rho1 has weight outside the support of rho2."""
 
 
 @dataclass(frozen=True)
@@ -89,34 +81,6 @@ def mutual_information(rho: JointState) -> float:
         + von_neumann_entropy(rho.reduced_fock())
         - von_neumann_entropy(rho.state)
     )
-
-
-def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """D(rho1 || rho2) = Tr[rho1 ln rho1] - Tr[rho1 ln rho2], in nats.
-
-    Evaluated in the eigenbasis of each argument.  If rho2 has a zero
-    eigenvalue (below the cutoff) carrying rho1 weight above SUPPORT_TOL,
-    the divergence is reported as SupportViolationError rather than as an
-    overflowing float.
-    """
-    if rho1.dim != rho2.dim:
-        raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    tr_rho1_log_rho1 = -von_neumann_entropy(rho1)
-
-    spectrum_ref = hermitian_eig(rho2.matrix)
-    weights = np.einsum(
-        "ki,kl,li->i", spectrum_ref.eigenvectors.conj(), rho1.matrix, spectrum_ref.eigenvectors
-    ).real
-    on_support = spectrum_ref.eigenvalues > LOG_EIGENVALUE_CUTOFF
-    off_weight = float(np.sum(weights[~on_support]))
-    if off_weight > SUPPORT_TOL:
-        raise SupportViolationError(
-            f"rho1 carries weight {off_weight:.3e} outside the support of rho2"
-        )
-    tr_rho1_log_rho2 = float(
-        np.sum(weights[on_support] * np.log(spectrum_ref.eigenvalues[on_support]))
-    )
-    return tr_rho1_log_rho1 - tr_rho1_log_rho2
 
 
 def reservoir_energy(rho_r: DensityMatrix) -> float:

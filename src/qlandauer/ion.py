@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, partial_trace
+from .linalg import DensityMatrix, partial_trace
 
 # Default drive calibration: Lamb-Dicke parameter 0.09, pi-pulse time 33 us
 # on the first red-sideband block, hence Omega = pi / (eta * t_op).
@@ -79,22 +79,6 @@ class PulseParams:
 
     def with_duration(self, duration: float) -> "PulseParams":
         return PulseParams(self.eta, self.omega, self.phi, duration)
-
-
-@dataclass(frozen=True)
-class SystemPrep:
-    """Qubit populations after a carrier rotation by theta_c followed by
-    dephasing: alpha = cos^2(theta_c/2) in |down>, beta = sin^2 in |up>."""
-
-    theta_c: float
-
-    @property
-    def alpha(self) -> float:
-        return math.cos(self.theta_c / 2.0) ** 2
-
-    @property
-    def beta(self) -> float:
-        return math.sin(self.theta_c / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -171,38 +155,14 @@ def _coupled_pair(kind: str, n: int, dim_fock: int) -> tuple[int, int]:
     return dim_fock + n + 1, n
 
 
-def _sideband_hamiltonian(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    d = trunc.dim
-    h = np.zeros((2 * d, 2 * d), dtype=complex)
-    phase = np.exp(-1j * p.phi)
-    for n in range(trunc.n_max):
-        g = p.eta * p.omega * math.sqrt(n + 1) / 2.0
-        target, source = _coupled_pair(kind, n, d)
-        h[target, source] = g * phase
-        h[source, target] = g * np.conj(phase)
-    return h
-
-
-def red_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2 on the joint space.
-
-    |down,0> is dark; |up,n_max> is dark because the truncated raising
-    operator annihilates |n_max>.
-    """
-    return _sideband_hamiltonian("red", p, trunc)
-
-
-def blue_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2; |up,0> is dark."""
-    return _sideband_hamiltonian("blue", p, trunc)
-
-
 def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
     """Closed-form sideband evolution exp(-i H t), assembled block by block.
 
+    The red drive is eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2,
+    the blue drive eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2.
     Each coupled pair rotates through the Rabi angle eta*Omega*sqrt(n+1)*t;
-    dark states pick up no phase.  Matches the generic Hermitian matrix
-    exponential of the corresponding Hamiltonian.
+    dark states pick up no phase: |down,0> and |up,n_max> under red,
+    |up,0> and |down,n_max> under blue.
     """
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
@@ -229,10 +189,3 @@ def evolve(rho: JointState, u: np.ndarray, unitarity_tol: float = 1e-10) -> Join
     if defect > unitarity_tol:
         raise ValueError(f"matrix is not unitary (max |U†U - I| = {defect:.3e})")
     return JointState(DensityMatrix(u @ rho.state.matrix @ u.conj().T), rho.n_max)
-
-
-def prepare_initial(prep: SystemPrep, nbar: float, trunc: FockTruncation) -> JointState:
-    """Uncorrelated initial state diag(alpha, beta) (x) thermal(nbar)."""
-    qubit = np.diag([prep.alpha, prep.beta]).astype(complex)
-    reservoir = thermal_state(nbar, trunc)
-    return JointState(DensityMatrix(kron(qubit, reservoir.matrix)), trunc.n_max)

@@ -22,18 +22,6 @@ EIGENVALUE_FLOOR = -1e-10
 LOG_EIGENVALUE_CUTOFF = 1e-14
 
 
-def _as_complex_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square complex matrix, got shape {a.shape}")
-    return a
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Max-abs elementwise check of m against its conjugate transpose."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
@@ -45,9 +33,11 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if not is_hermitian(m, HERMITICITY_TOL):
-            dev = np.max(np.abs(m - m.conj().T))
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] == 0 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square complex matrix, got shape {m.shape}")
+        dev = np.max(np.abs(m - m.conj().T))
+        if not dev <= HERMITICITY_TOL:  # also rejects NaN entries
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
@@ -62,18 +52,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Hermitian eigendecomposition: ascending eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,34 +77,3 @@ def partial_trace(rho: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> Dens
     else:
         reduced = np.einsum("kikj->ij", r)
     return DensityMatrix(reduced)
-
-
-def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    h = _as_complex_matrix(h)
-    if not is_hermitian(h, tol):
-        raise ValueError("hermitian_eig requires a Hermitian input")
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition.  Unitary result."""
-    spectrum = hermitian_eig(h)
-    phases = np.exp(-1j * spectrum.eigenvalues * t)
-    v = spectrum.eigenvectors
-    return (v * phases) @ v.conj().T
-
-
-def entropy_log(rho: DensityMatrix) -> np.ndarray:
-    """log(rho) on the support of rho (natural logarithm).
-
-    Eigenvalues at or below ``LOG_EIGENVALUE_CUTOFF`` are treated as exact
-    zeros and contribute nothing; with the 0 log 0 := 0 convention this is
-    what entropy traces downstream require.
-    """
-    spectrum = hermitian_eig(rho.matrix)
-    w = spectrum.eigenvalues
-    logw = np.where(w > LOG_EIGENVALUE_CUTOFF, np.log(np.maximum(w, LOG_EIGENVALUE_CUTOFF)), 0.0)
-    v = spectrum.eigenvectors
-    return (v * logw) @ v.conj().T

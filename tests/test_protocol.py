@@ -4,16 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle import SystemPrep, prepare_initial
 from qlandauer.info import temperature_from_nbar, von_neumann_entropy
-from qlandauer.ion import PulseParams, SystemPrep
 from qlandauer.protocol import (
     REALISTIC_IMPERFECTIONS,
     ExperimentConfig,
     Imperfections,
-    SweepRow,
     config_digest,
-    default_nbar_grid,
-    default_theta_grid,
     find_entropy_zero_crossings,
     format_sweep_table,
     parse_sweep_table,
@@ -85,6 +82,15 @@ class TestRunErasure:
         prep = SystemPrep(float(thetas[5]))
         expected = -(prep.alpha * math.log(prep.alpha) + prep.beta * math.log(prep.beta))
         assert abs(entropies[5] - expected) < 1e-12
+
+    def test_initial_state_matches_dense_preparation(self):
+        for theta in (0.0, 0.7, math.pi / 2, 2.9, math.pi):
+            for nbar in (0.0, 0.074, 2.0):
+                cfg = dataclasses.replace(DEFAULT, theta_c=theta, nbar0=nbar)
+                _, initial, _ = run_erasure(cfg)
+                expected = prepare_initial(SystemPrep(theta), nbar, cfg.truncation())
+                np.testing.assert_allclose(
+                    initial.state.matrix, expected.state.matrix, rtol=0, atol=1e-15)
 
     def test_imperfect_initialization_mixes_preparation(self):
         cfg = dataclasses.replace(
@@ -248,15 +254,26 @@ class TestSimulatedReadout:
 
 
 class TestDefaultGrids:
-    def test_nbar_grid_is_logarithmic(self):
-        grid = default_nbar_grid()
+    """The sweep subcommands' default grids, read back from their tables."""
+
+    @staticmethod
+    def swept(subcommand, column, tmp_path):
+        from qlandauer.cli import parse_and_dispatch
+
+        out = tmp_path / "sweep.csv"
+        assert parse_and_dispatch([subcommand, "-o", str(out)]) == 0
+        _, rows = parse_sweep_table(out.read_text(encoding="utf-8"))
+        return np.array([getattr(row, column) for row in rows])
+
+    def test_nbar_grid_is_logarithmic(self, tmp_path):
+        grid = self.swept("sweep-temp", "nbar0", tmp_path)
         assert len(grid) == 25
         assert abs(grid[0] - 0.01) < 1e-12 and abs(grid[-1] - 2.0) < 1e-12
         ratios = grid[1:] / grid[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
-    def test_theta_grid_is_linear(self):
-        grid = default_theta_grid()
+    def test_theta_grid_is_linear(self, tmp_path):
+        grid = self.swept("sweep-theta", "value", tmp_path)
         assert len(grid) == 49
         assert grid[0] == 0.0 and abs(grid[-1] - math.pi) < 1e-12
         np.testing.assert_allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-10)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import dense_blue_trace
 from qlandauer.ion import (
     FockTruncation,
     JointState,
@@ -19,9 +20,7 @@ from qlandauer.readout import (
     fit_phonon_populations,
     model_trace,
     project_to_simplex,
-    read_trace,
     sample_shots,
-    write_trace,
 )
 
 PULSE = PulseParams()
@@ -63,6 +62,28 @@ class TestExactTrace:
         exact = exact_trace(state, PULSE, TIMES)
         modeled = model_trace(pops, PULSE, TIMES, gamma0=0.0)
         np.testing.assert_allclose(exact.p_down, modeled.p_down, atol=1e-12)
+
+    def test_matches_dense_reference_on_random_states(self):
+        # full-rank states also weight the dark |down,n_max> and every coherence
+        rng = np.random.default_rng(41)
+        for n_max in range(1, 10):
+            dim = 2 * (n_max + 1)
+            for _ in range(3):
+                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                rho = g @ g.conj().T
+                state = JointState(DensityMatrix(rho / np.trace(rho).real), n_max)
+                p = PulseParams(eta=float(rng.uniform(0.02, 0.3)),
+                                omega=float(rng.uniform(0.2, 3.0)),
+                                phi=float(rng.uniform(-math.pi, math.pi)))
+                times = np.linspace(0.0, 6 * p.t_op, 30)
+                np.testing.assert_allclose(
+                    exact_trace(state, p, times).p_down,
+                    dense_blue_trace(state, p, times), rtol=0, atol=1e-12)
+
+    def test_negative_time_rejected(self):
+        state = down_fock_state(FockTruncation(1), [1.0, 0.0])
+        with pytest.raises(ValueError, match="times"):
+            exact_trace(state, PULSE, [-1.0, 0.0])
 
 
 class TestModelTrace:
@@ -252,19 +273,3 @@ class TestTraceValidationAndIo:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             RabiTrace(times=[0.0, 1.0], p_down=[1.0])
-
-    def test_file_round_trip(self, tmp_path):
-        trace = sample_shots(
-            model_trace(thermal_populations(0.2), PULSE, TIMES), 100, seed=12)
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        back = read_trace(path)
-        np.testing.assert_array_equal(back.times, trace.times)
-        np.testing.assert_array_equal(back.p_down, trace.p_down)
-        assert back.shots_per_point == 100
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0.0,1.0,0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
-            read_trace(path)
