@@ -4,8 +4,8 @@ Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence.  Exit codes: 0 success,
 1 validation error, 2 numerical failure (a divergent quantity requested in
-numeric table form, a failed equality check, or fit non-convergence under
---strict).
+numeric table form, a failed equality or truncation check, or fit
+non-convergence under --strict).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .info import LandauerLedger, UnitSystem
-from .ion import PulseParams
+from .ion import TRUNCATION_TAIL_TOL, PulseParams
 from .protocol import (
     NBAR_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
@@ -79,7 +79,12 @@ class CliError(Exception):
 
 
 class NumericalFailure(Exception):
-    """A numeric result was requested but only a flagged value exists."""
+    """A numeric result was requested but only a flagged value exists, or a
+    check failed; ``output``, when given, is still written before exiting."""
+
+    def __init__(self, message: str, output: str | None = None):
+        super().__init__(message)
+        self.output = output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,15 +206,24 @@ def _cmd_verify(config: ExperimentConfig, values: dict, fmt: str) -> str:
     _require_numeric(ledger, fmt)
     text = format_ledger_summary(ledger, config, provenance_line("verify", config),
                                  units=UnitSystem(values["omega_z"]))
+    # The renormalised Gibbs state makes the equality exact at any n_max, so
+    # the residual alone cannot tell whether the truncation holds the state.
+    trunc = config.truncation()
+    tail = trunc.tail_mass(config.effective_nbar0)
+    text += f"truncation_tail_mass = {tail!r}\n"
     if ledger.divergent:
-        text += "verified = divergent\n"
-    else:
-        ok = abs(ledger.residual) < VERIFY_RESIDUAL_BOUND
-        text += f"verified = {'yes' if ok else 'no'}\n"
-        if not ok:
-            raise NumericalFailure(
-                f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}"
-            )
+        return text + "verified = divergent\n"
+    failures = []
+    if not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
+        failures.append(
+            f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
+    if tail > TRUNCATION_TAIL_TOL:
+        failures.append(
+            f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
+            f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
+    text += f"verified = {'no' if failures else 'yes'}\n"
+    if failures:
+        raise NumericalFailure("; ".join(failures), output=text)
     return text
 
 
@@ -317,6 +331,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalFailure as exc:
+        if exc.output is not None:
+            _emit(exc.output, args.output_path)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -24,6 +24,9 @@ OMEGA_Z_DEFAULT = 2.0 * math.pi * 1.01
 
 # Tail probability allowed beyond the retained Fock levels.
 TRUNCATION_TAIL_TOL = 1e-12
+# Smallest automatic truncation, whatever the temperature: the erasure adds
+# up to one phonon, and the blue readout of |down,1> needs |up,2>.
+N_MAX_FLOOR = 2
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,20 @@ class FockTruncation:
     def for_nbar(cls, nbar: float, tail_tol: float = TRUNCATION_TAIL_TOL) -> "FockTruncation":
         """Smallest truncation whose thermal tail beyond n_max is below tail_tol.
 
-        Sizing rule: n_max >= ln(tail_tol) / ln(nbar / (1 + nbar)).
+        Sizing rule: n_max >= ln(tail_tol) / ln(nbar / (1 + nbar)), and at
+        least N_MAX_FLOOR.
         """
         if nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {nbar}")
         if nbar == 0:
-            return cls(1)
+            return cls(N_MAX_FLOOR)
         q = nbar / (1.0 + nbar)
-        return cls(max(1, math.ceil(math.log(tail_tol) / math.log(q))))
+        return cls(max(N_MAX_FLOOR, math.ceil(math.log(tail_tol) / math.log(q))))
+
+    def tail_mass(self, nbar: float) -> float:
+        """Thermal probability beyond n_max, sum_{n > n_max} p_n = q^(n_max+1)
+        with q = nbar / (1 + nbar); the truncated state renormalises it away."""
+        return (nbar / (1.0 + nbar)) ** (self.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,12 @@ def evolve(rho: JointState, u: np.ndarray, unitarity_tol: float = 1e-10) -> Join
     u = np.asarray(u, dtype=complex)
     if u.shape != (rho.state.dim, rho.state.dim):
         raise ValueError(f"unitary shape {u.shape} does not match state dim {rho.state.dim}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    # U†U - I formed in place, and freed before the product below so that it
+    # is not held next to the conjugation's full-size arrays.
+    gram = u.conj().T @ u
+    gram.reshape(-1)[::gram.shape[0] + 1] -= 1.0
+    defect = np.max(np.abs(gram))
+    del gram
     if defect > unitarity_tol:
         raise ValueError(f"matrix is not unitary (max |U†U - I| = {defect:.3e})")
     return JointState(DensityMatrix(u @ rho.state.matrix @ u.conj().T), rho.n_max)

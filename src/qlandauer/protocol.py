@@ -164,10 +164,11 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     u_c = carrier_rotation(config.theta_c)
     qubit = u_c @ qubit0 @ u_c.conj().T
 
-    joint = JointState(
+    # The pre-dephasing product state is passed straight on, not kept, so it
+    # is freed before the erasure's full-size temporaries are allocated.
+    initial = dephase_qubit(JointState(
         DensityMatrix(kron(qubit, thermal_state(nbar, trunc).matrix)), trunc.n_max
-    )
-    initial = dephase_qubit(joint)
+    ))
 
     u_red = jc_block_unitary("red", config.pulse, trunc)
     final = evolve(initial, u_red)
@@ -282,11 +283,20 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     ledger, initial, final = run_erasure(config)
     times = config.readout_times()
     eps = config.imperfections.detection_epsilon
+    n_max = final.n_max
+    rho_r_pre = initial.reduced_fock()
+    rho_r_post = final.reduced_fock()
+    # How far the down-only incoherent model is from the exact readout of the
+    # actual correlated post-erasure state.
+    exact_post = exact_trace(final, config.readout_pulse, times)
+    # The probes need only the reduced states; the joint ones are let go so
+    # each probe's joint state is not held next to them.
+    del initial, final
 
     def probe(reservoir: DensityMatrix, n_fit: int, seed: int):
         down = np.zeros((2, 2), dtype=complex)
         down[0, 0] = 1.0
-        joint = JointState(DensityMatrix(kron(down, reservoir.matrix)), initial.n_max)
+        joint = JointState(DensityMatrix(kron(down, reservoir.matrix)), n_max)
         trace = exact_trace(joint, config.readout_pulse, times)
         if eps > 0:
             trace = detection_flip(trace, eps)
@@ -296,13 +306,9 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
             trace, config.readout_pulse, n_fit, config.gamma0, config.decay_alpha
         )
 
-    rho_r_post = final.reduced_fock()
-    fit_pre = probe(initial.reduced_fock(), n_fit_pre, config.seed)
+    fit_pre = probe(rho_r_pre, n_fit_pre, config.seed)
     fit_post = probe(rho_r_post, n_fit_post, config.seed + 1)
 
-    # How far the down-only incoherent model is from the exact readout of the
-    # actual correlated post-erasure state.
-    exact_post = exact_trace(final, config.readout_pulse, times)
     post_pops = rho_r_post.matrix.diagonal().real
     modeled = model_trace(
         post_pops / post_pops.sum(), config.readout_pulse, times,

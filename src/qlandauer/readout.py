@@ -141,7 +141,8 @@ def fit_phonon_populations(trace: RabiTrace, p: PulseParams, n_fit: int,
     """Least-squares phonon populations over the probability simplex.
 
     Minimizes ||model(p_vec) - trace||_2 subject to p_n >= 0, sum p_n = 1,
-    via accelerated projected gradient on the fixed cosine design matrix.
+    via projected gradient descent (fixed step 1/L, no momentum) on the
+    fixed cosine design matrix.
     The problem is a small convex QP, so the solver either converges (the
     objective stops improving by more than FIT_OBJECTIVE_TOL) or the result
     is flagged non-converged and carries the best iterate.

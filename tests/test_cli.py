@@ -55,6 +55,21 @@ class TestVerify:
         assert code == 1
         assert "eta" in err
 
+    def test_defaults_report_tail_mass(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert 0.0 < float(summary_value(out, "truncation_tail_mass")) <= 1e-12
+        assert summary_value(out, "verified") == "yes"
+
+    def test_short_truncation_fails(self, capsys):
+        # the residual stays tiny at any n_max; only the tail mass shows the cut
+        code, out, err = run_cli(["verify", "--n-max", "2", "--nbar0", "2"], capsys)
+        assert code == 2
+        assert abs(float(summary_value(out, "residual"))) < 1e-9
+        assert abs(float(summary_value(out, "truncation_tail_mass")) - 8.0 / 27.0) < 1e-12
+        assert summary_value(out, "verified") == "no"
+        assert "n_max = 2" in err and "tail mass" in err
+
     def test_divergent_as_table_is_numerical_failure(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "0", "--format", "table"], capsys)
         assert code == 2
@@ -229,6 +244,14 @@ class TestReadoutAndRun:
         fitted = float(summary_value(out, "fitted_mean_phonon"))
         exact = float(summary_value(out, "exact_mean_phonon"))
         assert abs(fitted - exact) < 1e-3
+
+    def test_zero_temperature_readout_matches_exact(self, capsys):
+        # |down,1> is bright under the blue readout only if |up,2> is retained
+        code, out, _ = run_cli(["readout", "--nbar0", "0"], capsys)
+        assert code == 0
+        assert float(summary_value(out, "exact_mean_phonon")) == pytest.approx(0.5, abs=1e-12)
+        assert abs(float(summary_value(out, "fitted_mean_phonon")) - 0.5) < 1e-3
+        assert summary_value(out, "fit_converged") == "yes"
 
     def test_run_emits_ledger_and_readout(self, capsys):
         code, out, _ = run_cli(["run", "--shots", "100"], capsys)

@@ -53,13 +53,26 @@ class TestFockTruncation:
             assert trunc.n_max >= math.log(1e-12) / math.log(q)
 
     def test_minimum(self):
-        assert FockTruncation.for_nbar(0.0).n_max == 1
+        # The erasure adds up to one phonon and the blue readout of |down,1>
+        # needs |up,2>, so even a zero-temperature reservoir keeps n = 2.
+        assert FockTruncation.for_nbar(0.0).n_max == 2
+        assert FockTruncation.for_nbar(1e-13).n_max == 2
         with pytest.raises(ValueError, match="n_max"):
             FockTruncation(0)
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError, match="nbar"):
             FockTruncation.for_nbar(-0.1)
+
+    def test_tail_mass_is_discarded_thermal_weight(self):
+        nbar, trunc = 2.0, FockTruncation(2)
+        # 1 - (p_0 + p_1 + p_2) with p_n = nbar^n / (1+nbar)^(n+1)
+        kept = sum(geometric_weight(nbar, n) for n in range(3))
+        assert abs(trunc.tail_mass(nbar) - (1.0 - kept)) < 1e-15
+        assert abs(trunc.tail_mass(nbar) - 8.0 / 27.0) < 1e-15
+        assert trunc.tail_mass(0.0) == 0.0
+        for nbar in (0.01, 0.074, 0.5, 2.0, 20.0):
+            assert FockTruncation.for_nbar(nbar).tail_mass(nbar) <= 1e-12
 
 
 class TestThermalState:
@@ -281,6 +294,22 @@ class TestEvolve:
         rho = prepare_initial(SystemPrep(0.5), 0.1, trunc)
         with pytest.raises(ValueError, match="unitary"):
             evolve(rho, 0.5 * np.eye(4))
+
+    def test_off_diagonal_defect_rejected(self):
+        # U = I + eps |0><1| gives U†U - I = eps (|0><1| + |1><0|) + eps^2 |1><1|:
+        # the defect is off the diagonal, which an in-place -I leaves alone.
+        trunc = FockTruncation(2)
+        rho = prepare_initial(SystemPrep(0.5), 0.1, trunc)
+        for eps, unitary in ((1e-9, False), (1e-11, True)):
+            u = np.eye(2 * trunc.dim, dtype=complex)
+            u[0, 1] = eps
+            before = u.copy()
+            if unitary:
+                evolve(rho, u)
+            else:
+                with pytest.raises(ValueError, match="not unitary"):
+                    evolve(rho, u)
+            np.testing.assert_array_equal(u, before)
 
     def test_dimension_mismatch_rejected(self):
         trunc = FockTruncation(2)

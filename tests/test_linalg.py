@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracle import expm_i_hermitian, hermitian_eig
-from qlandauer.linalg import DensityMatrix, kron, partial_trace
+from qlandauer.linalg import EIGENVALUE_FLOOR, DensityMatrix, kron, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -155,7 +157,75 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_singular_state_accepted_without_eigendecomposition(self, monkeypatch):
+        # Pure and dephased product states are singular; the factorisation of
+        # the floor-shifted matrix accepts them, so eigvalsh runs only on rejection.
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called for a valid state")
+
+        pure = random_pure(np.random.default_rng(6), 8)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        DensityMatrix(np.outer(pure, pure.conj()))
+        DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
+
     def test_valid_state_is_frozen(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         assert rho.dim == 2
         assert not rho.matrix.flags.writeable
+
+
+def hermitian_with_spectrum(seed, eigenvalues):
+    """Exactly Hermitian Q diag(eigenvalues) Q† for a seeded random unitary Q."""
+    dim = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    m = (q * eigenvalues) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@st.composite
+def unit_trace_hermitian(draw):
+    """Unit-trace Hermitian matrix of dim 1-64 whose lowest eigenvalue is
+    drawn near EIGENVALUE_FLOOR or well away from it on either side; some
+    of the others are exact zeros, as in nearly pure states."""
+    dim = draw(st.integers(1, 64))
+    lowest = draw(st.one_of(st.floats(-5e-10, 5e-10), st.floats(-1e-2, 1e-2)))
+    zeros = draw(st.integers(0, max(0, dim - 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = rng.uniform(0.01, 1.0, dim - 1)
+    rest[:zeros] = 0.0
+    eigenvalues = np.concatenate(([lowest], rest / rest.sum() * (1.0 - lowest))) \
+        if dim > 1 else np.ones(1)
+    return hermitian_with_spectrum(draw(st.integers(0, 2**32 - 1)), eigenvalues)
+
+
+class TestDensityMatrixProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(unit_trace_hermitian())
+    def test_accepts_exactly_above_floor(self, m):
+        lowest = np.linalg.eigvalsh(m)[0]
+        assume(abs(lowest - EIGENVALUE_FLOOR) > 1e-12)
+        before = m.copy()
+        if lowest >= EIGENVALUE_FLOOR:
+            rho = DensityMatrix(m)
+            assert rho.matrix.tobytes() == before.tobytes()
+            assert rho.matrix is not m
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(m)
+        assert m.tobytes() == before.tobytes()
+        assert m.flags.writeable
+
+    @pytest.mark.parametrize("lowest", [-3e-10, -1.2e-10, -8e-11, -1e-11, 0.0])
+    @pytest.mark.parametrize("dim", [2, 17, 64, 300])
+    def test_floor_boundary_matches_eigvalsh(self, dim, lowest):
+        rest = np.linspace(1.0, 2.0, dim - 1)
+        m = hermitian_with_spectrum(dim, np.concatenate(
+            ([lowest], rest / rest.sum() * (1.0 - lowest))))
+        accepted = np.linalg.eigvalsh(m)[0] >= EIGENVALUE_FLOOR
+        assert accepted == (lowest >= EIGENVALUE_FLOOR)
+        if accepted:
+            assert DensityMatrix(m).matrix.tobytes() == m.tobytes()
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(m)

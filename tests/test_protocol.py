@@ -65,7 +65,7 @@ class TestRunErasure:
     def test_zero_temperature_final_state_exact(self):
         cfg = dataclasses.replace(DEFAULT, nbar0=0.0)
         ledger, _, final = run_erasure(cfg)
-        expected = np.zeros((4, 4))
+        expected = np.zeros((6, 6))  # n_max = 2, the automatic floor
         expected[0, 0] = expected[1, 1] = 0.5  # |down>(x)(|0><0|+|1><1|)/2
         np.testing.assert_allclose(final.state.matrix, expected, atol=1e-10)
         assert abs(ledger.delta_s - math.log(2)) < 1e-10
