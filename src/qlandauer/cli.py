@@ -4,8 +4,8 @@ Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence.  Exit codes: 0 success,
 1 validation error, 2 numerical failure (a divergent quantity requested in
-numeric table form, a failed equality or truncation check, or fit
-non-convergence under --strict).
+numeric table form, a failed equality check, a truncation check failed by
+verify, readout or run, or fit non-convergence under --strict).
 """
 
 from __future__ import annotations
@@ -164,6 +164,9 @@ def load_config(config_path: str | None, overrides: dict,
     if config_path is not None:
         values.update(parse_config_file(config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in values.items():
+        if CONFIG_KEYS[key] is float and value is not None and not math.isfinite(value):
+            raise CliError(f"{key} must be finite, got {value}")
 
     try:
         readout_pulse = PulseParams(**{key: values[key] for key in _fields(PulseParams)},
@@ -201,26 +204,33 @@ def _row_table(rows, command: str, config: ExperimentConfig) -> str:
     return format_sweep_table(rows, provenance_line(command, config))
 
 
+def _check_truncation(config: ExperimentConfig) -> tuple[str, str | None]:
+    """The truncation_tail_mass line (thermal mass beyond n_max) and the
+    failure above TRUNCATION_TAIL_TOL: the renormalised Gibbs state makes the
+    equality exact at any n_max, so the residual cannot show a short one."""
+    trunc = config.truncation()
+    tail = trunc.tail_mass(config.effective_nbar0)
+    failure = (f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
+               f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset"
+               if tail > TRUNCATION_TAIL_TOL else None)
+    return f"truncation_tail_mass = {tail!r}\n", failure
+
+
 def _cmd_verify(config: ExperimentConfig, values: dict, fmt: str) -> str:
     ledger, _, _ = run_erasure(config)
     _require_numeric(ledger, fmt)
     text = format_ledger_summary(ledger, config, provenance_line("verify", config),
                                  units=UnitSystem(values["omega_z"]))
-    # The renormalised Gibbs state makes the equality exact at any n_max, so
-    # the residual alone cannot tell whether the truncation holds the state.
-    trunc = config.truncation()
-    tail = trunc.tail_mass(config.effective_nbar0)
-    text += f"truncation_tail_mass = {tail!r}\n"
+    tail_line, truncation_failure = _check_truncation(config)
+    text += tail_line
     if ledger.divergent:
         return text + "verified = divergent\n"
     failures = []
     if not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
         failures.append(
             f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
-    if tail > TRUNCATION_TAIL_TOL:
-        failures.append(
-            f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
-            f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
+    if truncation_failure:
+        failures.append(truncation_failure)
     text += f"verified = {'no' if failures else 'yes'}\n"
     if failures:
         raise NumericalFailure("; ".join(failures), output=text)
@@ -325,6 +335,11 @@ def parse_and_dispatch(argv: list[str]) -> int:
             text = _cmd_sweep_theta(config, values)
         else:
             text = _cmd_crossings(config)
+        if args.subcommand in ("readout", "run"):
+            tail_line, failure = _check_truncation(config)
+            text += tail_line if args.format == "structured" else ""
+            if failure:
+                raise NumericalFailure(failure, output=text)
         _emit(text, args.output_path)
         return EXIT_OK
     except CliError as exc:

@@ -1,5 +1,7 @@
 """Information-thermodynamic functionals and the erasure-equality ledger.
 
+Every functional reads the populations and pair spectrum of an
+ion.JointState, so each term is a sum over n of closed-form scalars.
 Entropies are in nats (natural logarithm throughout).  Reservoir energies
 are in units of Q0 = hbar*omega_z, temperatures in units of T0 = Q0/k_B,
 which makes every ledger term dimensionless.
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LOG_EIGENVALUE_CUTOFF, DensityMatrix
-from .ion import OMEGA_Z_DEFAULT, JointState
+from .linalg import LOG_EIGENVALUE_CUTOFF
+from .ion import OMEGA_Z_DEFAULT, FockTruncation, JointState, thermal_log_weights
 
 HBAR_JS = 1.054571817e-34
 KB_J_PER_K = 1.380649e-23
@@ -67,9 +69,12 @@ class LandauerLedger:
         return self.lhs is None
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum(lam * ln lam) over eigenvalues above the zero cutoff, in nats."""
-    w = np.linalg.eigvalsh(rho.matrix)
+def von_neumann_entropy(eigenvalues) -> float:
+    """-sum(lam * ln lam) over the eigenvalues above the zero cutoff, in nats.
+
+    For a diagonal state the eigenvalues are its populations.
+    """
+    w = np.asarray(eigenvalues, dtype=float)
     w = w[w > LOG_EIGENVALUE_CUTOFF]
     return float(-np.sum(w * np.log(w)))
 
@@ -79,25 +84,14 @@ def mutual_information(rho: JointState) -> float:
     return (
         von_neumann_entropy(rho.reduced_qubit())
         + von_neumann_entropy(rho.reduced_fock())
-        - von_neumann_entropy(rho.state)
+        - von_neumann_entropy(rho.spectrum)
     )
 
 
-def reservoir_energy(rho_r: DensityMatrix) -> float:
-    """Mean phonon number sum(n <n|rho|n>), i.e. Tr[H_res rho] in Q0 units."""
-    diag = rho_r.matrix.diagonal().real
-    return float(np.dot(np.arange(rho_r.dim), diag))
-
-
-def _thermal_log_weights(nbar: float, dim: int) -> np.ndarray:
-    """ln p_n of the truncated renormalized Gibbs state, computed in log
-    space so weights far below double-precision eigenvalue resolution keep
-    exact logarithms (needed for the equality at very low nbar)."""
-    n = np.arange(dim)
-    log_w = n * (math.log(nbar) - math.log1p(nbar)) - math.log1p(nbar)
-    peak = log_w.max()
-    log_norm = peak + math.log(np.exp(log_w - peak).sum())
-    return log_w - log_norm
+def reservoir_energy(populations) -> float:
+    """Mean phonon number sum(n p_n) of Fock populations, i.e. Tr[H_res rho]
+    in Q0 units."""
+    return float(np.dot(np.arange(len(populations)), populations))
 
 
 def temperature_from_nbar(nbar: float) -> float:
@@ -121,39 +115,28 @@ def landauer_ledger(initial: JointState, final: JointState, nbar0: float) -> Lan
     if initial.n_max != final.n_max:
         raise ValueError("initial and final states live on different truncations")
 
-    rho_s = initial.reduced_qubit()
-    rho_r = initial.reduced_fock()
-    rho_s_f = final.reduced_qubit()
     rho_r_f = final.reduced_fock()
-
-    e_initial = reservoir_energy(rho_r)
+    e_initial = reservoir_energy(initial.reduced_fock())
     e_final = reservoir_energy(rho_r_f)
     delta_q = e_final - e_initial
 
-    delta_s = von_neumann_entropy(rho_s) - von_neumann_entropy(rho_s_f)
+    delta_s = (von_neumann_entropy(initial.reduced_qubit())
+               - von_neumann_entropy(final.reduced_qubit()))
     mutual = mutual_information(final)
 
-    if nbar0 == 0:
-        return LandauerLedger(
-            delta_q=delta_q, temperature=None, lhs=None,
-            delta_s=delta_s, mutual_info=mutual,
-            relative_entropy=None, rhs=None, residual=None,
-            e_initial=e_initial, e_final=e_final,
-        )
-
-    temperature = temperature_from_nbar(nbar0)
-    lhs = delta_q / temperature
-    # D(rho'_R || rho_R) against the Gibbs reference, with Tr[rho'_R ln rho_R]
-    # taken from the analytic log weights: the reference is diagonal and
-    # strictly positive, so only the diagonal of rho'_R enters and the term
-    # stays exact even where weights underflow the eigenvalue log cutoff.
-    log_ref = _thermal_log_weights(nbar0, initial.n_max + 1)
-    cross_term = float(np.dot(rho_r_f.matrix.diagonal().real, log_ref))
-    rel_ent = -von_neumann_entropy(rho_r_f) - cross_term
-    rhs = delta_s + mutual + rel_ent
+    temperature = lhs = rel_ent = rhs = residual = None
+    if nbar0 != 0:
+        temperature = temperature_from_nbar(nbar0)
+        lhs = delta_q / temperature
+        # D(rho'_R || rho_R) with Tr[rho'_R ln rho_R] from the analytic log
+        # weights, exact even where the weights underflow the log cutoff.
+        log_ref = thermal_log_weights(nbar0, FockTruncation(initial.n_max))
+        rel_ent = -von_neumann_entropy(rho_r_f) - float(np.dot(rho_r_f, log_ref))
+        rhs = delta_s + mutual + rel_ent
+        residual = lhs - rhs
     return LandauerLedger(
         delta_q=delta_q, temperature=temperature, lhs=lhs,
         delta_s=delta_s, mutual_info=mutual,
-        relative_entropy=rel_ent, rhs=rhs, residual=lhs - rhs,
+        relative_entropy=rel_ent, rhs=rhs, residual=residual,
         e_initial=e_initial, e_final=e_final,
     )

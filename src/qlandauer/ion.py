@@ -3,16 +3,21 @@
 Units: hbar = 1, frequencies in rad/us, time in us.  Basis ordering is
 qubit-major: index = qubit*(n_max+1) + n, with qubit 0 = |down>, 1 = |up>.
 All operations are pure; states are immutable after construction.
+
+The dephased qubit and the thermal reservoir are diagonal and the red pulse
+rotates 2x2 pairs (|up,n>, |down,n+1>), so JointState holds only those
+entries and the erasure runs in O(n_max).  thermal_state and
+jc_block_unitary build the dense operators the tests use as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
+from .linalg import EIGENVALUE_FLOOR, TRACE_TOL, DensityMatrix
 
 # Default drive calibration: Lamb-Dicke parameter 0.09, pi-pulse time 33 us
 # on the first red-sideband block, hence Omega = pi / (eta * t_op).
@@ -55,6 +60,8 @@ class FockTruncation:
         if nbar == 0:
             return cls(N_MAX_FLOOR)
         q = nbar / (1.0 + nbar)
+        if not q < 1.0:  # also NaN and inf
+            raise ValueError(f"nbar = {nbar} needs infinite n_max: nbar/(1+nbar) rounds to 1")
         return cls(max(N_MAX_FLOOR, math.ceil(math.log(tail_tol) / math.log(q))))
 
     def tail_mass(self, nbar: float) -> float:
@@ -92,50 +99,70 @@ class PulseParams:
 
 @dataclass(frozen=True)
 class JointState:
-    """Bipartite state on qubit (dim 2) x truncated Fock space."""
+    """Qubit x truncated Fock state, diagonal apart from red-sideband pairs:
+    populations[q, n] = <q,n|rho|q,n> (shape 2 x (n_max + 1)) and
+    red_coherences[n] = <down,n+1|rho|up,n>.  Validated in O(n_max) by
+    DensityMatrix's rules; ``spectrum`` holds the eigenvalues: the dark
+    |down,0> and |up,n_max> populations and each pair block's pair."""
 
-    state: DensityMatrix
-    n_max: int
+    populations: np.ndarray
+    red_coherences: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.state.dim != 2 * (self.n_max + 1):
-            raise ValueError(
-                f"state dim {self.state.dim} inconsistent with n_max = {self.n_max}"
-            )
+        pops = np.array(self.populations, dtype=float)
+        coh = np.array(self.red_coherences, dtype=complex)
+        if pops.ndim != 2 or len(pops) != 2 or coh.shape != (pops.shape[1] - 1,) or not coh.size:
+            raise ValueError(f"expected populations of shape (2, n_max + 1) with n_max >= 1 "
+                             f"and n_max red coherences, got {pops.shape} and {coh.shape}")
+        if not (np.isfinite(pops).all() and np.isfinite(coh).all()):
+            raise ValueError("joint state has non-finite entries")
+        if abs(pops.sum() - 1.0) > TRACE_TOL:
+            raise ValueError(f"joint state trace {pops.sum():.12g} differs from 1 beyond {TRACE_TOL}")
+        # Pair block [[a, conj(c)], [c, b]] on (|up,n>, |down,n+1>); its lower
+        # eigenvalue is taken as det / upper, which does not cancel.
+        a, b = pops[1, :-1], pops[0, 1:]
+        upper = (a + b) / 2.0 + np.hypot((a - b) / 2.0, np.abs(coh))
+        lower = np.divide(a * b - np.abs(coh)**2, upper, out=a + b - upper, where=a + b > 0)
+        spectrum = np.concatenate(([pops[0, 0], pops[1, -1]], upper, lower))
+        if spectrum.min() < EIGENVALUE_FLOOR:
+            raise ValueError(f"joint state has negative eigenvalue {spectrum.min():.3e}")
+        for name, value in (("populations", pops), ("red_coherences", coh), ("spectrum", spectrum)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
-    def dim_qubit(self) -> int:
-        return 2
+    def n_max(self) -> int:
+        return self.populations.shape[1] - 1
 
-    @property
-    def dim_fock(self) -> int:
-        return self.n_max + 1
+    def reduced_qubit(self) -> np.ndarray:
+        """Populations of |down>, |up>; the reduced qubit state is diagonal."""
+        return self.populations.sum(axis=1)
 
-    def reduced_qubit(self) -> DensityMatrix:
-        return partial_trace(self.state, 2, self.dim_fock, keep="A")
+    def reduced_fock(self) -> np.ndarray:
+        """Fock populations p_0 .. p_{n_max}; the reduced reservoir state is diagonal."""
+        return self.populations.sum(axis=0)
 
-    def reduced_fock(self) -> DensityMatrix:
-        return partial_trace(self.state, 2, self.dim_fock, keep="B")
+
+def thermal_log_weights(nbar: float, trunc: FockTruncation) -> np.ndarray:
+    """ln p_n of the truncated, renormalized Gibbs state of the number operator:
+    p_n proportional to nbar^n / (1+nbar)^(n+1) for n <= n_max.  Log space
+    keeps exact logarithms of weights far below double precision (the
+    relative entropy needs them at very low nbar); nbar = 0 gives the Fock
+    ground state, ln p_0 = 0 and -inf above."""
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    n = np.arange(trunc.dim)
+    if nbar == 0:
+        return np.where(n == 0, 0.0, -np.inf)
+    log_w = n * (math.log(nbar) - math.log1p(nbar)) - math.log1p(nbar)
+    peak = log_w.max()
+    return log_w - (peak + math.log(np.exp(log_w - peak).sum()))
 
 
 def thermal_state(nbar: float, trunc: FockTruncation) -> DensityMatrix:
-    """Truncated, renormalized Gibbs state of the number operator.
-
-    Weights are proportional to exp(-n * ln(1 + 1/nbar)), i.e. the geometric
-    distribution p_n = nbar^n / (1+nbar)^(n+1) restricted to n <= n_max.
-    nbar = 0 gives the Fock ground state.
-    """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    dim = trunc.dim
-    if nbar == 0:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-    else:
-        n = np.arange(dim)
-        weights = np.exp(n * math.log(nbar) - (n + 1) * math.log(1.0 + nbar))
-        weights /= weights.sum()
-    return DensityMatrix(np.diag(weights.astype(complex)))
+    """The truncated Gibbs state of thermal_log_weights as a dense matrix."""
+    return DensityMatrix(np.diag(np.exp(thermal_log_weights(nbar, trunc))))
 
 
 def carrier_rotation(theta_c: float) -> np.ndarray:
@@ -145,61 +172,52 @@ def carrier_rotation(theta_c: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def dephase_qubit(rho: JointState) -> JointState:
-    """Zero every block coupling the two qubit levels; diagonal blocks untouched."""
-    d = rho.dim_fock
-    m = rho.state.matrix.copy()
-    m[:d, d:] = 0.0
-    m[d:, :d] = 0.0
-    return JointState(DensityMatrix(m), rho.n_max)
+def dephase_qubit(qubit: np.ndarray, reservoir: np.ndarray) -> JointState:
+    """qubit (x) diag(reservoir) with the blocks coupling the two qubit
+    levels zeroed: the 2x2 qubit's populations times the Fock populations
+    p_0 .. p_{n_max}, no pair coherence."""
+    return JointState(np.outer(np.diagonal(qubit).real, reservoir), np.zeros(len(reservoir) - 1))
 
 
-def _coupled_pair(kind: str, n: int, dim_fock: int) -> tuple[int, int]:
-    """Basis indices (target, source) of the n-th sideband block, where the
-    matrix element <target|H|source> carries the phase e^{-i phi}."""
-    if kind == "red":
-        # couples |up,n> <-> |down,n+1>; <down,n+1|H|up,n> = g_n e^{-i phi}
-        return n + 1, dim_fock + n
-    # couples |down,n> <-> |up,n+1>; <up,n+1|H|down,n> = g_n e^{-i phi}
-    return dim_fock + n + 1, n
+def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
+    """Half Rabi angle eta*Omega*sqrt(n+1)*t/2 of sideband blocks n = 0 ..
+    blocks-1 at time t (a column of times gives one row per time)."""
+    return p.eta * p.omega * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
 
 
 def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """Closed-form sideband evolution exp(-i H t), assembled block by block.
+    """Closed-form sideband evolution exp(-i H t) as a dense matrix.
 
     The red drive is eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2,
     the blue drive eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2.
-    Each coupled pair rotates through the Rabi angle eta*Omega*sqrt(n+1)*t;
-    dark states pick up no phase: |down,0> and |up,n_max> under red,
-    |up,0> and |down,n_max> under blue.
+    Each coupled pair rotates through twice sideband_half_angles; dark
+    states pick up no phase: |down,0> and |up,n_max> under red, |up,0> and
+    |down,n_max> under blue.
     """
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
-    d = trunc.dim
+    d, n = trunc.dim, np.arange(trunc.n_max)
+    half_angles = sideband_half_angles(p, trunc.n_max, p.duration)
+    # <target|H|source> carries e^{-i phi}: <down,n+1|H|up,n> under red,
+    # <up,n+1|H|down,n> under blue
+    target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
     u = np.eye(2 * d, dtype=complex)
-    phase = np.exp(-1j * p.phi)
-    for n in range(trunc.n_max):
-        half_angle = p.eta * p.omega * math.sqrt(n + 1) * p.duration / 2.0
-        c, s = math.cos(half_angle), math.sin(half_angle)
-        target, source = _coupled_pair(kind, n, d)
-        u[target, target] = c
-        u[source, source] = c
-        u[target, source] = -1j * s * phase
-        u[source, target] = -1j * s * np.conj(phase)
+    u[target, target] = u[source, source] = np.cos(half_angles)
+    u[target, source] = -1j * np.sin(half_angles) * np.exp(-1j * p.phi)
+    u[source, target] = -1j * np.sin(half_angles) * np.exp(1j * p.phi)
     return u
 
 
-def evolve(rho: JointState, u: np.ndarray, unitarity_tol: float = 1e-10) -> JointState:
-    """Conjugate the state by a unitary: U rho U†."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (rho.state.dim, rho.state.dim):
-        raise ValueError(f"unitary shape {u.shape} does not match state dim {rho.state.dim}")
-    # U†U - I formed in place, and freed before the product below so that it
-    # is not held next to the conjugation's full-size arrays.
-    gram = u.conj().T @ u
-    gram.reshape(-1)[::gram.shape[0] + 1] -= 1.0
-    defect = np.max(np.abs(gram))
-    del gram
-    if defect > unitarity_tol:
-        raise ValueError(f"matrix is not unitary (max |U†U - I| = {defect:.3e})")
-    return JointState(DensityMatrix(u @ rho.state.matrix @ u.conj().T), rho.n_max)
+def evolve(rho: JointState, p: PulseParams) -> JointState:
+    """Drive the red sideband for p.duration: U rho U† pair by pair, with
+    U = [[c, -i s e^{-i phi}], [-i s e^{i phi}, c]] on (|down,n+1>, |up,n>)
+    and c, s of the block's half angle; the dark states are untouched."""
+    half_angles = sideband_half_angles(p, rho.n_max, p.duration)
+    c, s, phase = np.cos(half_angles), np.sin(half_angles), np.exp(-1j * p.phi)
+    up, down, coh = rho.populations[1, :-1], rho.populations[0, 1:], rho.red_coherences
+    cross = 2.0 * c * s * (1j * phase * np.conj(coh)).real
+    pops = rho.populations.copy()
+    pops[1, :-1] = c**2 * up + s**2 * down + cross
+    pops[0, 1:] = s**2 * up + c**2 * down - cross
+    coh = c**2 * coh + s**2 * phase**2 * np.conj(coh) + 1j * c * s * phase * (down - up)
+    return JointState(pops, coh)

@@ -1,7 +1,5 @@
-"""Dense complex linear algebra for the joint qubit-reservoir Hilbert space.
-
-Dimensions run from 2 (the qubit alone) to 2 (n_max + 1): 24 at the default
-nbar0 = 0.074 and 1,136 at nbar0 = 20, the top of the temperature sweeps.
+"""Dense complex linear algebra: the full 2 (n_max + 1)-square matrices the
+tests compare the block core (ion.JointState) with.
 
 Everything here is a pure function of immutable inputs.  Density matrices
 are validated on construction and frozen, so values can be shared freely
@@ -29,19 +27,15 @@ LOG_EIGENVALUE_CUTOFF = 1e-14
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
-    The universal state carrier.  Construction validates all three
-    invariants and freezes a copy of the input, bit for bit.  Positivity
-    means no eigenvalue below EIGENVALUE_FLOOR, tested as a Cholesky
-    factorisation of m - EIGENVALUE_FLOOR * I, which exists exactly when
-    every eigenvalue of m lies above the floor.  Only when the factorisation
-    fails is the lowest eigenvalue computed: it accepts a matrix exactly on
-    the floor and is named in the error otherwise.
+    Construction validates all three invariants and freezes a copy of the
+    input, bit for bit.  Positivity means no eigenvalue below
+    EIGENVALUE_FLOOR.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square complex matrix, got shape {m.shape}")
         dev = np.max(np.abs(m - m.conj().T))
@@ -50,23 +44,9 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} differs from 1 beyond {TRACE_TOL}")
-        m = m.copy()
-        # Shift the diagonal of the kept copy in place (a strided view of the
-        # C-ordered copy), then put the saved entries back: d - floor + floor
-        # need not round back to d.
-        diagonal = m.reshape(-1)[::m.shape[0] + 1]
-        saved = diagonal.copy()
-        diagonal -= EIGENVALUE_FLOOR
-        try:
-            np.linalg.cholesky(m)
-            positive = True
-        except np.linalg.LinAlgError:
-            positive = False
-        diagonal[:] = saved
-        if not positive:
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < EIGENVALUE_FLOOR:
-                raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        lo = float(np.linalg.eigvalsh(m)[0])
+        if lo < EIGENVALUE_FLOOR:
+            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

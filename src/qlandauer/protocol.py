@@ -25,10 +25,8 @@ from .ion import (
     carrier_rotation,
     dephase_qubit,
     evolve,
-    jc_block_unitary,
-    thermal_state,
+    thermal_log_weights,
 )
-from .linalg import DensityMatrix, kron
 from .readout import (
     default_n_fit,
     detection_flip,
@@ -91,6 +89,10 @@ class ExperimentConfig:
     imperfections: Imperfections = Imperfections()
 
     def validate(self) -> None:
+        for part in (self, self.pulse, self.readout_pulse, self.imperfections):
+            for name, value in vars(part).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.theta_c <= math.pi:
             raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:
@@ -160,18 +162,10 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     nbar = config.effective_nbar0
 
     fidelity = config.imperfections.init_fidelity
-    qubit0 = np.diag([fidelity, 1.0 - fidelity]).astype(complex)
     u_c = carrier_rotation(config.theta_c)
-    qubit = u_c @ qubit0 @ u_c.conj().T
-
-    # The pre-dephasing product state is passed straight on, not kept, so it
-    # is freed before the erasure's full-size temporaries are allocated.
-    initial = dephase_qubit(JointState(
-        DensityMatrix(kron(qubit, thermal_state(nbar, trunc).matrix)), trunc.n_max
-    ))
-
-    u_red = jc_block_unitary("red", config.pulse, trunc)
-    final = evolve(initial, u_red)
+    qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
+    initial = dephase_qubit(qubit, np.exp(thermal_log_weights(nbar, trunc)))
+    final = evolve(initial, config.pulse)
     return landauer_ledger(initial, final, nbar), initial, final
 
 
@@ -197,8 +191,8 @@ def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
     theta_c = pi/2 and a pi-pulse erasure."""
     rows = []
     for nbar in nbar_list:
-        if nbar <= 0:
-            raise ValueError(f"sweep nbar values must be > 0, got {nbar}")
+        if not 0 < nbar < math.inf:
+            raise ValueError(f"sweep nbar values must be finite and > 0, got {nbar}")
         cfg = dataclasses.replace(
             config,
             nbar0=float(nbar),
@@ -270,6 +264,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     A config with fewer readout_points than the larger fit needs (n_fit + 1)
     is rejected before the erasure runs.
     """
+    config.validate()
     nbar = config.effective_nbar0
     n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
     n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
@@ -283,21 +278,10 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     ledger, initial, final = run_erasure(config)
     times = config.readout_times()
     eps = config.imperfections.detection_epsilon
-    n_max = final.n_max
-    rho_r_pre = initial.reduced_fock()
-    rho_r_post = final.reduced_fock()
-    # How far the down-only incoherent model is from the exact readout of the
-    # actual correlated post-erasure state.
-    exact_post = exact_trace(final, config.readout_pulse, times)
-    # The probes need only the reduced states; the joint ones are let go so
-    # each probe's joint state is not held next to them.
-    del initial, final
 
-    def probe(reservoir: DensityMatrix, n_fit: int, seed: int):
-        down = np.zeros((2, 2), dtype=complex)
-        down[0, 0] = 1.0
-        joint = JointState(DensityMatrix(kron(down, reservoir.matrix)), n_max)
-        trace = exact_trace(joint, config.readout_pulse, times)
+    def probe(state: JointState, n_fit: int, seed: int):
+        reset = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
+        trace = exact_trace(reset, config.readout_pulse, times)
         if eps > 0:
             trace = detection_flip(trace, eps)
         if config.shots > 0:
@@ -306,10 +290,13 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
             trace, config.readout_pulse, n_fit, config.gamma0, config.decay_alpha
         )
 
-    fit_pre = probe(rho_r_pre, n_fit_pre, config.seed)
-    fit_post = probe(rho_r_post, n_fit_post, config.seed + 1)
+    fit_pre = probe(initial, n_fit_pre, config.seed)
+    fit_post = probe(final, n_fit_post, config.seed + 1)
 
-    post_pops = rho_r_post.matrix.diagonal().real
+    # How far the down-only incoherent model is from the exact readout of the
+    # actual correlated post-erasure state.
+    exact_post = exact_trace(final, config.readout_pulse, times)
+    post_pops = final.reduced_fock()
     modeled = model_trace(
         post_pops / post_pops.sum(), config.readout_pulse, times,
         config.gamma0, config.decay_alpha,

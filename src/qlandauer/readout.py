@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import JointState, PulseParams
+from .ion import JointState, PulseParams, sideband_half_angles
 
 FIT_MAX_ITERATIONS = 100_000
 FIT_OBJECTIVE_TOL = 1e-14
@@ -73,29 +73,22 @@ def default_n_fit(nbar_expected: float) -> int:
 def exact_trace(rho: JointState, p: PulseParams, times) -> RabiTrace:
     """Noiseless qubit-down population under the blue sideband, per time.
 
-    Honors whatever the joint state contains: residual up population and
-    qubit-reservoir correlations all enter the trace.  The blue drive couples
-    |down,n> to |up,n+1> in 2x2 blocks (|down,n_max> is dark), so
+    The blue drive rotates the pairs (|down,n>, |up,n+1>) (|down,n_max> is
+    dark), whose coherences a JointState never holds, so only populations
+    enter, residual up population included:
 
-        p_down(t) = sum_{n<n_max} [c_n^2 rho(dn,dn) + s_n^2 rho(u n+1,u n+1)
-                    + 2 Re(c_n conj(-i s_n e^{i phi}) rho(dn,u n+1))]
+        p_down(t) = sum_{n<n_max} [c_n^2 rho(dn,dn) + s_n^2 rho(u n+1,u n+1)]
                     + rho(d n_max,d n_max)
 
-    with c_n, s_n = cos, sin(eta*Omega*sqrt(n+1)*t/2).
+    with c_n, s_n the cosine and sine of sideband_half_angles at t.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("readout times must be >= 0")
-    d = rho.n_max + 1
-    m = rho.state.matrix
-    n = np.arange(rho.n_max)
-    half_angles = p.eta * p.omega * np.sqrt(n + 1.0) * times[:, None] / 2.0
-    c, s = np.cos(half_angles), np.sin(half_angles)
-    p_d = m.diagonal()[:rho.n_max].real
-    p_u = m.diagonal()[d + 1:].real
-    # Re(conj(-i e^{i phi}) rho(dn,u n+1)), the per-block coherence weight
-    coherence = (1j * np.exp(-1j * p.phi) * m.diagonal(d + 1)).real
-    values = c**2 @ p_d + s**2 @ p_u + (2.0 * c * s) @ coherence + m[rho.n_max, rho.n_max].real
+    half_angles = sideband_half_angles(p, rho.n_max, times[:, None])
+    pops = rho.populations
+    values = (np.cos(half_angles)**2 @ pops[0, :-1] + np.sin(half_angles)**2 @ pops[1, 1:]
+              + pops[0, -1])
     return RabiTrace(times=times, p_down=np.clip(values, 0.0, 1.0))
 
 
@@ -169,11 +162,10 @@ def fit_phonon_populations(trace: RabiTrace, p: PulseParams, n_fit: int,
 
 def _design_matrix(n_fit: int, p: PulseParams, times: np.ndarray,
                    gamma0: float, alpha: float) -> np.ndarray:
-    n = np.arange(n_fit + 1)
-    freqs = p.eta * p.omega * np.sqrt(n + 1.0)
-    gammas = gamma0 * (n + 1.0) ** alpha
+    gammas = gamma0 * (np.arange(n_fit + 1) + 1.0) ** alpha
     t = np.asarray(times, dtype=float)[:, None]
-    return (1.0 + np.cos(freqs * t) * np.exp(-gammas * t)) / 2.0
+    angles = 2.0 * sideband_half_angles(p, n_fit + 1, t)
+    return (1.0 + np.cos(angles) * np.exp(-gammas * t)) / 2.0
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

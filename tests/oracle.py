@@ -1,9 +1,8 @@
 """Dense reference implementations that the tests compare the package against.
 
-Each helper builds the full 2(n_max+1)-square operator or takes a generic
-eigendecomposition, where the package uses the 2x2 block structure of the
-sideband drives or the diagonal structure of the thermal reference.  Nothing
-in the package imports this module.
+The package carries joint states as populations plus 2x2 red-sideband blocks
+(qlandauer.ion.JointState); the helpers here work on full 2(n_max+1)-square
+matrices instead.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -14,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlandauer.info import von_neumann_entropy
-from qlandauer.ion import FockTruncation, JointState, PulseParams, jc_block_unitary, thermal_state
-from qlandauer.linalg import LOG_EIGENVALUE_CUTOFF, DensityMatrix, kron
+from qlandauer.ion import (FockTruncation, PulseParams, carrier_rotation, jc_block_unitary,
+                           thermal_state)
+from qlandauer.linalg import DensityMatrix, kron, partial_trace
 
-# rho1 weight tolerated on a zero eigenvalue of rho2 before the relative
-# entropy is declared divergent.
+# rho1 weight tolerated on a zero (or negative roundoff) eigenvalue of rho2
+# before the relative entropy is declared divergent.
 SUPPORT_TOL = 1e-12
 
 
@@ -85,20 +85,20 @@ def blue_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarr
 def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """D(rho1 || rho2) = Tr[rho1 ln rho1] - Tr[rho1 ln rho2], in nats.
 
-    Evaluated in the eigenbasis of each argument.  If rho2 has a zero
-    eigenvalue (below the cutoff) carrying rho1 weight above SUPPORT_TOL,
-    the divergence is reported as SupportViolationError rather than as an
-    overflowing float.
+    Evaluated in the eigenbasis of each argument.  Every positive eigenvalue
+    of rho2 keeps its exact logarithm, however small.  If a zero eigenvalue
+    carries rho1 weight above SUPPORT_TOL, the divergence is reported as
+    SupportViolationError rather than as an overflowing float.
     """
     if rho1.dim != rho2.dim:
         raise ValueError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    tr_rho1_log_rho1 = -von_neumann_entropy(rho1)
+    tr_rho1_log_rho1 = -dense_entropy(rho1)
 
     spectrum_ref = hermitian_eig(rho2.matrix)
     weights = np.einsum(
         "ki,kl,li->i", spectrum_ref.eigenvectors.conj(), rho1.matrix, spectrum_ref.eigenvectors
     ).real
-    on_support = spectrum_ref.eigenvalues > LOG_EIGENVALUE_CUTOFF
+    on_support = spectrum_ref.eigenvalues > 0
     off_weight = float(np.sum(weights[~on_support]))
     if off_weight > SUPPORT_TOL:
         raise SupportViolationError(
@@ -110,35 +110,58 @@ def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return tr_rho1_log_rho1 - tr_rho1_log_rho2
 
 
-@dataclass(frozen=True)
-class SystemPrep:
-    """Qubit populations after a carrier rotation by theta_c followed by
-    dephasing: alpha = cos^2(theta_c/2) in |down>, beta = sin^2 in |up>."""
-
-    theta_c: float
-
-    @property
-    def alpha(self) -> float:
-        return math.cos(self.theta_c / 2.0) ** 2
-
-    @property
-    def beta(self) -> float:
-        return math.sin(self.theta_c / 2.0) ** 2
+def dense_matrix(state) -> np.ndarray:
+    """Qubit-major matrix with the diagonal ``state.populations`` and the
+    coherences <down,n+1|rho|up,n> = ``state.red_coherences``."""
+    d = np.shape(state.populations)[1]
+    m = np.diag(np.ravel(state.populations).astype(complex))
+    n = np.arange(d - 1)
+    m[n + 1, d + n] = state.red_coherences
+    m[d + n, n + 1] = np.conj(state.red_coherences)
+    return m
 
 
-def prepare_initial(prep: SystemPrep, nbar: float, trunc: FockTruncation) -> JointState:
-    """Uncorrelated initial state diag(alpha, beta) (x) thermal(nbar)."""
-    qubit = np.diag([prep.alpha, prep.beta]).astype(complex)
-    reservoir = thermal_state(nbar, trunc)
-    return JointState(DensityMatrix(kron(qubit, reservoir.matrix)), trunc.n_max)
+def dense_entropy(rho: DensityMatrix) -> float:
+    return von_neumann_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
-def dense_blue_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
+def dense_reduced(rho: DensityMatrix, keep: str) -> DensityMatrix:
+    """Reduced qubit ("A") or reservoir ("B") state of a joint state."""
+    return partial_trace(rho, 2, rho.dim // 2, keep)
+
+
+def dense_erasure(config) -> tuple[DensityMatrix, DensityMatrix]:
+    """Dense initial and final states of protocol.run_erasure(config): the
+    product of the carrier-rotated qubit with the Gibbs state, every block
+    coupling the qubit levels zeroed, then conjugated by the red unitary."""
+    trunc = config.truncation()
+    fidelity = config.imperfections.init_fidelity
+    u_c = carrier_rotation(config.theta_c)
+    qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
+    m = kron(qubit, thermal_state(config.effective_nbar0, trunc).matrix)
+    m[:trunc.dim, trunc.dim:] = m[trunc.dim:, :trunc.dim] = 0.0
+    u = jc_block_unitary("red", config.pulse, trunc)
+    return DensityMatrix(m), DensityMatrix(u @ m @ u.conj().T)
+
+
+def dense_ledger(initial: DensityMatrix, final: DensityMatrix, nbar0: float) -> dict:
+    """delta_q, delta_s, mutual_info and relative_entropy (None at nbar0 = 0)
+    by partial traces, eigendecompositions and the generic relative_entropy."""
+    res_0, res_f = dense_reduced(initial, "B"), dense_reduced(final, "B")
+    qubit_f = dense_reduced(final, "A")
+    return {
+        "delta_q": float(np.arange(res_0.dim) @ (res_f.matrix - res_0.matrix).diagonal().real),
+        "delta_s": dense_entropy(dense_reduced(initial, "A")) - dense_entropy(qubit_f),
+        "mutual_info": dense_entropy(qubit_f) + dense_entropy(res_f) - dense_entropy(final),
+        "relative_entropy": relative_entropy(res_f, res_0) if nbar0 > 0 else None,
+    }
+
+
+def dense_blue_trace(rho: DensityMatrix, p: PulseParams, times) -> np.ndarray:
     """Qubit-down population under the blue sideband, one dense unitary per time."""
-    trunc = FockTruncation(rho.n_max)
-    d = trunc.dim
+    trunc = FockTruncation(rho.dim // 2 - 1)
     values = np.empty(len(times))
     for i, t in enumerate(times):
-        down_rows = jc_block_unitary("blue", p.with_duration(float(t)), trunc)[:d]
-        values[i] = np.einsum("ij,jk,ik->", down_rows, rho.state.matrix, down_rows.conj()).real
+        down_rows = jc_block_unitary("blue", p.with_duration(float(t)), trunc)[:trunc.dim]
+        values[i] = np.einsum("ij,jk,ik->", down_rows, rho.matrix, down_rows.conj()).real
     return values

@@ -157,7 +157,7 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
 def test_criterion_8_erasure_quality():
     cfg = dataclasses.replace(DEFAULT, nbar0=0.03)
     _, _, final = run_erasure(cfg)
-    down = final.reduced_qubit().matrix[0, 0].real
+    down = final.reduced_qubit()[0]
     ok = down > 0.95
     print(f"  [final down population {down:.4f}]")
     report(8, "erasure polarizes the qubit", ok)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from qlandauer.cli import (
+    CONFIG_KEYS,
     CliError,
     load_config,
     parse_and_dispatch,
     parse_config_file,
 )
-from qlandauer.protocol import parse_sweep_table
+from qlandauer.protocol import SWEEP_COLUMNS, parse_sweep_table
+
+FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
 
 def run_cli(argv, capsys):
@@ -70,6 +73,12 @@ class TestVerify:
         assert summary_value(out, "verified") == "no"
         assert "n_max = 2" in err and "tail mass" in err
 
+    def test_unbounded_nbar_names_key(self, capsys):
+        code, out, err = run_cli(["verify", "--nbar0", "1e308"], capsys)
+        assert code == 1
+        assert "nbar" in err and "Traceback" not in err
+        assert out == ""
+
     def test_divergent_as_table_is_numerical_failure(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "0", "--format", "table"], capsys)
         assert code == 2
@@ -77,6 +86,14 @@ class TestVerify:
 
 
 class TestArgumentValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_names_key(self, key, value, capsys):
+        code, out, err = run_cli(["verify", f"--{key.replace('_', '-')}={value}"], capsys)
+        assert code == 1
+        assert key in err and "finite" in err and "Traceback" not in err
+        assert out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(["bogus"], capsys)
         assert code == 1
@@ -284,6 +301,25 @@ class TestReadoutAndRun:
         code, _, err = run_cli(["readout", "--nbar0", "5"], capsys)
         assert code == 1
         assert "n_fit" in err and "readout_points" in err
+
+    @pytest.mark.parametrize("command", ["readout", "run"])
+    def test_defaults_report_tail_mass(self, command, capsys):
+        code, out, _ = run_cli([command], capsys)
+        assert code == 0
+        assert 0.0 < float(summary_value(out, "truncation_tail_mass")) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["readout", "run"])
+    def test_short_truncation_fails(self, command, capsys):
+        # n_max = 3 at nbar0 = 2 discards (2/3)^4 of the thermal state
+        code, out, err = run_cli([command, "--n-max", "3", "--nbar0", "2"], capsys)
+        assert code == 2
+        assert abs(float(summary_value(out, "truncation_tail_mass")) - 16.0 / 81.0) < 1e-12
+        assert "n_max = 3" in err and "tail mass" in err
+        code, out, _ = run_cli([command, "--n-max", "3", "--nbar0", "2", "--format", "table"],
+                               capsys)
+        assert code == 2
+        assert out.splitlines()[1] == ",".join(SWEEP_COLUMNS)
+        assert len(parse_sweep_table(out)[1]) == 1
 
     def test_readout_table_format(self, capsys):
         code, out, _ = run_cli(["readout", "--format", "table"], capsys)

@@ -157,17 +157,6 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
-    def test_singular_state_accepted_without_eigendecomposition(self, monkeypatch):
-        # Pure and dephased product states are singular; the factorisation of
-        # the floor-shifted matrix accepts them, so eigvalsh runs only on rejection.
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("eigvalsh called for a valid state")
-
-        pure = random_pure(np.random.default_rng(6), 8)
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        DensityMatrix(np.outer(pure, pure.conj()))
-        DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
-
     def test_valid_state_is_frozen(self):
         rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
         assert rho.dim == 2
@@ -200,7 +189,7 @@ def unit_trace_hermitian(draw):
 
 
 class TestDensityMatrixProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(unit_trace_hermitian())
     def test_accepts_exactly_above_floor(self, m):
         lowest = np.linalg.eigvalsh(m)[0]

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracle import SystemPrep, prepare_initial
+from oracle import dense_matrix
 from qlandauer.info import temperature_from_nbar, von_neumann_entropy
+from qlandauer.ion import thermal_state
+from qlandauer.linalg import kron
 from qlandauer.protocol import (
     REALISTIC_IMPERFECTIONS,
     ExperimentConfig,
@@ -39,13 +41,13 @@ def theta_rows():
 class TestRunErasure:
     def test_reference_point_polarizes_qubit(self):
         ledger, _, final = run_erasure(DEFAULT)
-        down = final.reduced_qubit().matrix[0, 0].real
+        down = final.reduced_qubit()[0]
         assert down > 0.95
         assert abs(ledger.residual) < 1e-9
 
     def test_cooled_reservoir_polarizes_harder(self):
         _, _, final = run_erasure(dataclasses.replace(DEFAULT, nbar0=0.03))
-        assert final.reduced_qubit().matrix[0, 0].real > 0.95
+        assert final.reduced_qubit()[0] > 0.95
 
     def test_pure_initial_state_generates_information(self):
         for nbar in (0.074, 0.5):
@@ -56,8 +58,7 @@ class TestRunErasure:
     def test_zero_duration_gives_zero_ledger(self):
         cfg = dataclasses.replace(DEFAULT, pulse=DEFAULT.pulse.with_duration(0.0))
         ledger, initial, final = run_erasure(cfg)
-        np.testing.assert_allclose(
-            final.state.matrix, initial.state.matrix, atol=1e-15)
+        np.testing.assert_allclose(dense_matrix(final), dense_matrix(initial), atol=1e-15)
         for term in (ledger.delta_q, ledger.delta_s, ledger.mutual_info,
                      ledger.relative_entropy, ledger.residual):
             assert abs(term) < 1e-10
@@ -67,7 +68,7 @@ class TestRunErasure:
         ledger, _, final = run_erasure(cfg)
         expected = np.zeros((6, 6))  # n_max = 2, the automatic floor
         expected[0, 0] = expected[1, 1] = 0.5  # |down>(x)(|0><0|+|1><1|)/2
-        np.testing.assert_allclose(final.state.matrix, expected, atol=1e-10)
+        np.testing.assert_allclose(dense_matrix(final), expected, atol=1e-10)
         assert abs(ledger.delta_s - math.log(2)) < 1e-10
         assert abs(ledger.mutual_info) < 1e-10
 
@@ -79,8 +80,8 @@ class TestRunErasure:
             entropies.append(von_neumann_entropy(initial.reduced_qubit()))
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
         # closed form: -alpha ln alpha - beta ln beta
-        prep = SystemPrep(float(thetas[5]))
-        expected = -(prep.alpha * math.log(prep.alpha) + prep.beta * math.log(prep.beta))
+        alpha, beta = math.cos(thetas[5] / 2) ** 2, math.sin(thetas[5] / 2) ** 2
+        expected = -(alpha * math.log(alpha) + beta * math.log(beta))
         assert abs(entropies[5] - expected) < 1e-12
 
     def test_initial_state_matches_dense_preparation(self):
@@ -88,16 +89,16 @@ class TestRunErasure:
             for nbar in (0.0, 0.074, 2.0):
                 cfg = dataclasses.replace(DEFAULT, theta_c=theta, nbar0=nbar)
                 _, initial, _ = run_erasure(cfg)
-                expected = prepare_initial(SystemPrep(theta), nbar, cfg.truncation())
-                np.testing.assert_allclose(
-                    initial.state.matrix, expected.state.matrix, rtol=0, atol=1e-15)
+                qubit = np.diag([math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2])
+                expected = kron(qubit, thermal_state(nbar, cfg.truncation()).matrix)
+                np.testing.assert_allclose(dense_matrix(initial), expected, rtol=0, atol=1e-15)
 
     def test_imperfect_initialization_mixes_preparation(self):
         cfg = dataclasses.replace(
             DEFAULT, theta_c=0.0,
             imperfections=Imperfections(init_fidelity=0.989))
         _, initial, _ = run_erasure(cfg)
-        qubit = initial.reduced_qubit().matrix.diagonal().real
+        qubit = initial.reduced_qubit()
         assert abs(qubit[0] - 0.989) < 1e-12
         assert abs(qubit[1] - 0.011) < 1e-12
 
@@ -115,6 +116,19 @@ class TestRunErasure:
             ExperimentConfig(shots=-2).validate()
         with pytest.raises(ValueError, match="init_fidelity"):
             ExperimentConfig(imperfections=Imperfections(init_fidelity=1.5)).validate()
+        # non-finite values are named wherever they sit in the config
+        for cfg, key in (
+            (dataclasses.replace(DEFAULT, nbar0=math.nan), "nbar0"),
+            (dataclasses.replace(DEFAULT, decay_alpha=-math.inf), "decay_alpha"),
+            (dataclasses.replace(DEFAULT, pulse=DEFAULT.pulse.with_duration(math.inf)),
+             "duration"),
+            (dataclasses.replace(DEFAULT, imperfections=Imperfections(cool_nbar=math.nan)),
+             "cool_nbar"),
+        ):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                run_erasure(cfg)
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                simulated_readout_run(cfg)
 
 
 class TestSweepTemperature:
@@ -145,8 +159,9 @@ class TestSweepTemperature:
         assert abs(rows[0].residual) < 1e-9
 
     def test_rejects_nonpositive_nbar(self):
-        with pytest.raises(ValueError, match="nbar"):
-            sweep_temperature(DEFAULT, [0.0])
+        for nbar in (0.0, math.inf, math.nan, 1e308):
+            with pytest.raises(ValueError, match="nbar"):
+                sweep_temperature(DEFAULT, [nbar])
 
     def test_residual_consistent_with_definition(self, temperature_rows):
         _, swept = temperature_rows
@@ -223,18 +238,14 @@ class TestSimulatedReadout:
         assert abs(np.mean(estimates) - ledger.delta_q) < 0.05
 
     def test_detection_error_perturbs_populations_weakly(self):
-        from qlandauer.linalg import DensityMatrix, kron
+        from qlandauer.ion import dephase_qubit
         from qlandauer.readout import (
             default_n_fit, detection_flip, exact_trace, fit_phonon_populations)
-        from qlandauer.ion import JointState
 
         _, initial, final = run_erasure(DEFAULT)
         times = DEFAULT.readout_times()
-        down = np.diag([1.0, 0.0]).astype(complex)
         for state, expected_nbar in ((initial, 0.074), (final, 1.074)):
-            reservoir = state.reduced_fock()
-            probe = JointState(
-                DensityMatrix(kron(down, reservoir.matrix)), state.n_max)
+            probe = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
             clean = exact_trace(probe, DEFAULT.readout_pulse, times)
             flipped = detection_flip(clean, 0.0022)
             n_fit = default_n_fit(expected_nbar)

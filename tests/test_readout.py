@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracle import dense_blue_trace
+from oracle import dense_blue_trace, dense_matrix
 from qlandauer.ion import (
     FockTruncation,
-    JointState,
     PulseParams,
+    dephase_qubit,
+    evolve,
     thermal_state,
 )
-from qlandauer.linalg import DensityMatrix, kron
+from qlandauer.linalg import DensityMatrix
 from qlandauer.readout import (
     RabiTrace,
     _simplex_least_squares,
@@ -27,10 +28,8 @@ PULSE = PulseParams()
 TIMES = np.linspace(0.0, 6 * PULSE.t_op, 30)
 
 
-def down_fock_state(trunc, populations):
-    down = np.diag([1.0, 0.0]).astype(complex)
-    reservoir = np.diag(np.asarray(populations, dtype=complex))
-    return JointState(DensityMatrix(kron(down, reservoir)), trunc.n_max)
+def down_fock_state(populations):
+    return dephase_qubit(np.diag([1.0, 0.0]), populations)
 
 
 def thermal_populations(nbar):
@@ -41,47 +40,44 @@ def thermal_populations(nbar):
 
 class TestExactTrace:
     def test_down_ground_rabi_formula(self):
-        trunc = FockTruncation(3)
-        state = down_fock_state(trunc, [1.0, 0.0, 0.0, 0.0])
+        state = down_fock_state([1.0, 0.0, 0.0, 0.0])
         trace = exact_trace(state, PULSE, TIMES)
         expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
         np.testing.assert_allclose(trace.p_down, expected, atol=1e-12)
 
     def test_up_ground_is_dark(self):
-        trunc = FockTruncation(3)
-        up = np.diag([0.0, 1.0]).astype(complex)
-        ground = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        state = JointState(DensityMatrix(kron(up, ground)), 3)
+        state = dephase_qubit(np.diag([0.0, 1.0]), [1.0, 0.0, 0.0, 0.0])
         trace = exact_trace(state, PULSE, TIMES)
         np.testing.assert_allclose(trace.p_down, 0.0, atol=1e-12)
 
     def test_matches_incoherent_model_for_down_diagonal_states(self):
         pops = thermal_populations(0.4)
-        trunc = FockTruncation(len(pops) - 1)
-        state = down_fock_state(trunc, pops)
+        state = down_fock_state(pops)
         exact = exact_trace(state, PULSE, TIMES)
         modeled = model_trace(pops, PULSE, TIMES, gamma0=0.0)
         np.testing.assert_allclose(exact.p_down, modeled.p_down, atol=1e-12)
 
     def test_matches_dense_reference_on_random_states(self):
-        # full-rank states also weight the dark |down,n_max> and every coherence
+        # random populations, up ones and the dark |down,n_max> included, and
+        # red coherences, which the blue drive must not see
         rng = np.random.default_rng(41)
         for n_max in range(1, 10):
-            dim = 2 * (n_max + 1)
             for _ in range(3):
-                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                rho = g @ g.conj().T
-                state = JointState(DensityMatrix(rho / np.trace(rho).real), n_max)
+                product = dephase_qubit(np.diag(rng.dirichlet(np.ones(2))),
+                                        rng.dirichlet(np.ones(n_max + 1)))
+                state = evolve(product, PulseParams(phi=float(rng.uniform(-math.pi, math.pi)),
+                                                    duration=float(rng.uniform(0.0, 100.0))))
                 p = PulseParams(eta=float(rng.uniform(0.02, 0.3)),
                                 omega=float(rng.uniform(0.2, 3.0)),
                                 phi=float(rng.uniform(-math.pi, math.pi)))
                 times = np.linspace(0.0, 6 * p.t_op, 30)
                 np.testing.assert_allclose(
                     exact_trace(state, p, times).p_down,
-                    dense_blue_trace(state, p, times), rtol=0, atol=1e-12)
+                    dense_blue_trace(DensityMatrix(dense_matrix(state)), p, times),
+                    rtol=0, atol=1e-12)
 
     def test_negative_time_rejected(self):
-        state = down_fock_state(FockTruncation(1), [1.0, 0.0])
+        state = down_fock_state([1.0, 0.0])
         with pytest.raises(ValueError, match="times"):
             exact_trace(state, PULSE, [-1.0, 0.0])
 
