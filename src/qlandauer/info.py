@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LOG_EIGENVALUE_CUTOFF
 from .ion import OMEGA_Z_DEFAULT, FockTruncation, JointState, thermal_log_weights
 
 HBAR_JS = 1.054571817e-34
@@ -70,12 +69,14 @@ class LandauerLedger:
 
 
 def von_neumann_entropy(eigenvalues) -> float:
-    """-sum(lam * ln lam) over the eigenvalues above the zero cutoff, in nats.
+    """-sum(lam * ln lam) over the positive eigenvalues, in nats.
 
-    For a diagonal state the eigenvalues are its populations.
+    Only exact zeros (and roundoff below them) drop out, by 0 ln 0 = 0, so
+    every ledger term sums the same levels.  For a diagonal state the
+    eigenvalues are its populations.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    w = w[w > LOG_EIGENVALUE_CUTOFF]
+    w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -129,7 +130,7 @@ def landauer_ledger(initial: JointState, final: JointState, nbar0: float) -> Lan
         temperature = temperature_from_nbar(nbar0)
         lhs = delta_q / temperature
         # D(rho'_R || rho_R) with Tr[rho'_R ln rho_R] from the analytic log
-        # weights, exact even where the weights underflow the log cutoff.
+        # weights, exact even where the weights underflow double precision.
         log_ref = thermal_log_weights(nbar0, FockTruncation(initial.n_max))
         rel_ent = -von_neumann_entropy(rho_r_f) - float(np.dot(rho_r_f, log_ref))
         rhs = delta_s + mutual + rel_ent

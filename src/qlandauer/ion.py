@@ -32,6 +32,9 @@ TRUNCATION_TAIL_TOL = 1e-12
 # Smallest automatic truncation, whatever the temperature: the erasure adds
 # up to one phonon, and the blue readout of |down,1> needs |up,2>.
 N_MAX_FLOOR = 2
+# Largest automatic truncation (nbar up to about 36,000): one erasure holds
+# about 177 bytes per level, so it peaks near 180 MB.
+N_MAX_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,10 @@ class FockTruncation:
         return self.n_max + 1
 
     @classmethod
-    def for_nbar(cls, nbar: float, tail_tol: float = TRUNCATION_TAIL_TOL) -> "FockTruncation":
-        """Smallest truncation whose thermal tail beyond n_max is below tail_tol.
-
-        Sizing rule: n_max >= ln(tail_tol) / ln(nbar / (1 + nbar)), and at
-        least N_MAX_FLOOR.
+    def for_nbar(cls, nbar: float) -> "FockTruncation":
+        """Smallest truncation whose thermal tail beyond n_max is below
+        TRUNCATION_TAIL_TOL: n_max >= ln(TRUNCATION_TAIL_TOL) / ln(nbar / (1 + nbar)),
+        at least N_MAX_FLOOR, and a ValueError above N_MAX_LIMIT.
         """
         if nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {nbar}")
@@ -62,7 +64,10 @@ class FockTruncation:
         q = nbar / (1.0 + nbar)
         if not q < 1.0:  # also NaN and inf
             raise ValueError(f"nbar = {nbar} needs infinite n_max: nbar/(1+nbar) rounds to 1")
-        return cls(max(N_MAX_FLOOR, math.ceil(math.log(tail_tol) / math.log(q))))
+        n_max = max(N_MAX_FLOOR, math.ceil(math.log(TRUNCATION_TAIL_TOL) / math.log(q)))
+        if n_max > N_MAX_LIMIT:
+            raise ValueError(f"nbar = {nbar} needs n_max = {n_max}, above the limit {N_MAX_LIMIT}")
+        return cls(n_max)
 
     def tail_mass(self, nbar: float) -> float:
         """Thermal probability beyond n_max, sum_{n > n_max} p_n = q^(n_max+1)

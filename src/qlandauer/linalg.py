@@ -18,10 +18,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-# Eigenvalues at or below this are treated as exact zeros in logarithms
-# (0 log 0 := 0 downstream).  Keeps entropies of nearly pure states finite.
-LOG_EIGENVALUE_CUTOFF = 1e-14
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

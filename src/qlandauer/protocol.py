@@ -224,10 +224,13 @@ def find_entropy_zero_crossings(
 
     Bisects delta_s(theta_c) on [0, pi/2] and [pi/2, pi] to CROSSING_TOL_RAD.
     A bracket with no sign change reports that crossing as absent (None).
+    A |delta_s| within double-precision epsilon counts as an exact zero:
+    at a bracket end it has no sign, at a midpoint it is the crossing.
     """
     cfg0 = dataclasses.replace(
         config, pulse=config.pulse.with_duration(config.pulse.t_op)
     )
+    zero = np.finfo(float).eps
 
     def delta_s(theta: float) -> float:
         ledger, _, _ = run_erasure(dataclasses.replace(cfg0, theta_c=theta))
@@ -235,12 +238,12 @@ def find_entropy_zero_crossings(
 
     def bisect(lo: float, hi: float) -> float | None:
         f_lo, f_hi = delta_s(lo), delta_s(hi)
-        if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0) == (f_hi > 0):
+        if min(abs(f_lo), abs(f_hi)) <= zero or (f_lo > 0) == (f_hi > 0):
             return None
         while hi - lo > CROSSING_TOL_RAD:
             mid = (lo + hi) / 2.0
             f_mid = delta_s(mid)
-            if f_mid == 0.0:
+            if abs(f_mid) <= zero:
                 return mid
             if (f_mid > 0) == (f_lo > 0):
                 lo, f_lo = mid, f_mid

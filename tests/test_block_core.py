@@ -137,3 +137,13 @@ def test_erasure_scales_past_dense_reach():
     ledger, _, final = run_erasure(ExperimentConfig(nbar0=200.0))
     assert final.n_max > 5000
     assert abs(ledger.residual) < 1e-9
+
+
+@pytest.mark.parametrize("nbar0", [20.0, 200.0, 1000.0, 5000.0])
+def test_equality_holds_at_high_occupation(nbar0):
+    # Thermal weights far below roundoff must enter every entropy, as they
+    # enter D's cross term.  Observed worst |residual| over the three angles:
+    # 9.1e-16, 2.0e-15, 3.0e-15 and 3.5e-15.
+    for theta in (0.3, math.pi / 2, 2.9):
+        ledger, _, _ = run_erasure(ExperimentConfig(theta_c=theta, nbar0=nbar0))
+        assert abs(ledger.residual) <= 1e-9

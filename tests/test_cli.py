@@ -79,6 +79,12 @@ class TestVerify:
         assert "nbar" in err and "Traceback" not in err
         assert out == ""
 
+    def test_high_occupation_verifies(self, capsys):
+        code, out, _ = run_cli(["verify", "--nbar0", "2000"], capsys)
+        assert code == 0
+        assert summary_value(out, "n_max") == "55276"
+        assert summary_value(out, "verified") == "yes"
+
     def test_divergent_as_table_is_numerical_failure(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "0", "--format", "table"], capsys)
         assert code == 2
@@ -202,6 +208,12 @@ class TestSweepCommands:
         _, rows = parse_sweep_table(out)
         assert len(rows) == 4
         assert all(abs(row.residual) < 1e-9 for row in rows)
+
+    def test_grid_past_truncation_limit_rejected(self, capsys):
+        code, out, err = run_cli(["sweep-temp", "--nbar-max", "1e308"], capsys)
+        assert code == 1
+        assert "nbar = " in err and "n_max = " in err and "Traceback" not in err
+        assert out == ""
 
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run_cli(["sweep-temp", "--nbar-min", "0"], capsys)

@@ -57,6 +57,12 @@ class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy([1.0, 0.0]) == 0.0
 
+    def test_only_exact_zeros_drop(self):
+        # a weight far below any roundoff scale still counts; zero and
+        # negative roundoff drop out by 0 ln 0 = 0
+        assert von_neumann_entropy([1e-20]) == -1e-20 * math.log(1e-20)
+        assert von_neumann_entropy([1.0, 0.0, -1e-18]) == 0.0
+
     def test_measured_population_entropy(self):
         assert abs(von_neumann_entropy([0.533, 0.467]) - shannon([0.533, 0.467])) < 1e-12
         assert abs(von_neumann_entropy([0.533, 0.467]) - 0.6910) < 1e-4

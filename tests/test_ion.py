@@ -15,8 +15,10 @@ from qlandauer.info import mutual_information
 from qlandauer.linalg import EIGENVALUE_FLOOR, kron
 from qlandauer.ion import (
     ETA_DEFAULT,
+    N_MAX_LIMIT,
     OMEGA_DEFAULT,
     T_OP_DEFAULT,
+    TRUNCATION_TAIL_TOL,
     FockTruncation,
     JointState,
     PulseParams,
@@ -63,6 +65,17 @@ class TestFockTruncation:
         for nbar in (1e308, 1e17, math.inf, math.nan):
             with pytest.raises(ValueError, match="nbar"):
                 FockTruncation.for_nbar(nbar)
+
+    def test_limit_names_nbar_and_n_max(self):
+        # n_max <= N_MAX_LIMIT exactly when q = nbar / (1 + nbar) is at most
+        # TRUNCATION_TAIL_TOL ** (1 / N_MAX_LIMIT); step 1e-4 to either side.
+        log_q = math.log(TRUNCATION_TAIL_TOL) / N_MAX_LIMIT
+        nbar_edge = -math.exp(log_q) / math.expm1(log_q)
+        below = FockTruncation.for_nbar(nbar_edge * (1 - 1e-4)).n_max
+        assert N_MAX_LIMIT - 200 < below <= N_MAX_LIMIT
+        with pytest.raises(ValueError, match=r"nbar = \S+ needs n_max = \d+, above the limit"):
+            FockTruncation.for_nbar(nbar_edge * (1 + 1e-4))
+        assert FockTruncation.for_nbar(1000.0).n_max == 27645
 
     def test_minimum(self):
         # The erasure adds up to one phonon and the blue readout of |down,1>

@@ -216,6 +216,13 @@ class TestZeroCrossings:
         lo, hi = find_entropy_zero_crossings(dataclasses.replace(DEFAULT, nbar0=0.0))
         assert lo is None and hi is None
 
+    def test_zero_temperature_ends_within_eps(self):
+        # at theta_c = 0 and pi the qubit stays pure; roundoff (-1.6e-30 at
+        # pi) is what the bisection reads as an exact zero
+        for theta in (0.0, math.pi):
+            ledger, _, _ = run_erasure(dataclasses.replace(DEFAULT, nbar0=0.0, theta_c=theta))
+            assert abs(ledger.delta_s) <= np.finfo(float).eps
+
     def test_not_symmetric_about_half_pi(self):
         lo, hi = find_entropy_zero_crossings(DEFAULT)
         assert abs(lo - (math.pi - hi)) > 1e-3
