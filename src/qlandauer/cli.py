@@ -3,9 +3,9 @@
 Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence.  Exit codes: 0 success,
-1 validation error, 2 numerical failure (a divergent quantity requested in
-numeric table form, a failed equality check, a truncation check failed by
-verify, readout or run, or fit non-convergence under --strict).
+1 validation error, 2 numerical failure (a failed equality check, a
+truncation check failed by verify, readout or run, or a non-converged fit
+under readout or run); a failed check still writes the output.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ CONFIG_KEYS = {
 }
 
 SUBCOMMANDS = ("verify", "sweep-temp", "sweep-theta", "crossings", "readout", "run")
+# These always erase with the pi pulse and choose theta_c themselves.
+PI_PULSE_COMMANDS = ("sweep-temp", "sweep-theta", "crossings")
 
 
 class CliError(Exception):
@@ -79,10 +81,10 @@ class CliError(Exception):
 
 
 class NumericalFailure(Exception):
-    """A numeric result was requested but only a flagged value exists, or a
-    check failed; ``output``, when given, is still written before exiting."""
+    """One or more checks failed; the message names every failure and
+    ``output``, the command's full output, is still written before exiting."""
 
-    def __init__(self, message: str, output: str | None = None):
+    def __init__(self, message: str, output: str):
         super().__init__(message)
         self.output = output
 
@@ -102,15 +104,14 @@ def _build_parser() -> _Parser:
                         help="flat key = value config file")
         sp.add_argument("--output", "-o", dest="output_path", default=None,
                         help="write results here instead of stdout")
-        if name in ("verify", "run", "readout"):
+        if name in ("run", "readout"):
             sp.add_argument("--format", choices=("table", "structured"),
                             default="structured", help="output format")
         sp.add_argument("--realistic", action="store_true",
                         help="enable the quoted hardware imperfection preset")
-        if name == "readout":
-            sp.add_argument("--strict", action="store_true",
-                            help="treat fit non-convergence as a numerical failure")
         for key, kind in CONFIG_KEYS.items():
+            if name in PI_PULSE_COMMANDS and key in ("theta_c", "t_pulse"):
+                continue
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
                             default=None, metavar=key.upper())
     return parser
@@ -192,53 +193,32 @@ def _emit(text: str, output_path: str | None) -> None:
             fh.write(text)
 
 
-def _require_numeric(ledger, fmt: str) -> None:
-    if ledger.divergent and fmt == "table":
-        raise NumericalFailure(
-            "ledger contains divergent quantities (nbar0 = 0); "
-            "use --format structured to display them as flags"
-        )
-
-
-def _row_table(rows, command: str, config: ExperimentConfig) -> str:
-    return format_sweep_table(rows, provenance_line(command, config))
-
-
-def _check_truncation(config: ExperimentConfig) -> tuple[str, str | None]:
-    """The truncation_tail_mass line (thermal mass beyond n_max) and the
-    failure above TRUNCATION_TAIL_TOL: the renormalised Gibbs state makes the
-    equality exact at any n_max, so the residual cannot show a short one."""
+def _check_truncation(config: ExperimentConfig, failures: list[str]) -> str:
+    """The truncation_tail_mass line (thermal mass beyond n_max); a tail above
+    TRUNCATION_TAIL_TOL is added to ``failures``.  The renormalised Gibbs
+    state makes the equality exact at any n_max, so the residual cannot show
+    a short one."""
     trunc = config.truncation()
     tail = trunc.tail_mass(config.effective_nbar0)
-    failure = (f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
-               f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset"
-               if tail > TRUNCATION_TAIL_TOL else None)
-    return f"truncation_tail_mass = {tail!r}\n", failure
+    if tail > TRUNCATION_TAIL_TOL:
+        failures.append(f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
+                        f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
+    return f"truncation_tail_mass = {tail!r}\n"
 
 
-def _cmd_verify(config: ExperimentConfig, values: dict, fmt: str) -> str:
+def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
     ledger, _, _ = run_erasure(config)
-    _require_numeric(ledger, fmt)
-    text = format_ledger_summary(ledger, config, provenance_line("verify", config),
-                                 units=UnitSystem(values["omega_z"]))
-    tail_line, truncation_failure = _check_truncation(config)
-    text += tail_line
-    if ledger.divergent:
-        return text + "verified = divergent\n"
-    failures = []
-    if not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
+    if not ledger.divergent and not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
         failures.append(
             f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
-    if truncation_failure:
-        failures.append(truncation_failure)
-    text += f"verified = {'no' if failures else 'yes'}\n"
-    if failures:
-        raise NumericalFailure("; ".join(failures), output=text)
-    return text
+    text = format_ledger_summary(ledger, config, provenance_line("verify", config),
+                                 units=UnitSystem(values["omega_z"]))
+    text += _check_truncation(config, failures)
+    verdict = "divergent" if ledger.divergent else "no" if failures else "yes"
+    return text + f"verified = {verdict}\n"
 
 
-def _cmd_run(config: ExperimentConfig, values: dict, fmt: str) -> str:
-    row = simulated_readout_run(config)
+def _run_summary(row, config: ExperimentConfig, values: dict) -> str:
     # The row carries every ledger term of its erasure; e_initial and e_final
     # are the exact pre- and post-erasure mean phonon numbers.
     ledger = LandauerLedger(
@@ -248,12 +228,9 @@ def _cmd_run(config: ExperimentConfig, values: dict, fmt: str) -> str:
         **{key: getattr(row, key) for key in ("temperature", "lhs", "delta_s", "mutual_info",
                                               "relative_entropy", "rhs", "residual")},
     )
-    _require_numeric(ledger, fmt)
-    if fmt == "table":
-        return _row_table([row], "run", config)
     text = format_ledger_summary(ledger, config, provenance_line("run", config),
                                  units=UnitSystem(values["omega_z"]))
-    text += (
+    return text + (
         f"exact_mean_phonon_pre = {row.exact_mean_phonon_pre!r}\n"
         f"fitted_mean_phonon_pre = {row.fitted_mean_phonon_pre!r}\n"
         f"exact_mean_phonon_post = {row.exact_mean_phonon!r}\n"
@@ -262,23 +239,30 @@ def _cmd_run(config: ExperimentConfig, values: dict, fmt: str) -> str:
         f"readout_model_error = {row.readout_model_error!r}\n"
         f"shots = {config.shots!r}\n"
     )
-    return text
 
 
-def _cmd_readout(config: ExperimentConfig, fmt: str, strict: bool) -> str:
-    row = simulated_readout_run(config)
-    if strict and not row.fit_converged:
-        raise NumericalFailure("phonon fit hit the iteration cap without converging")
-    if fmt == "table":
-        return _row_table([row], "readout", config)
+def _readout_summary(row, config: ExperimentConfig) -> str:
     lines = [provenance_line("readout", config)]
     for name in ("value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
                  "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
                  "readout_model_error"):
         val = getattr(row, name)
         lines.append(f"{name} = {'divergent' if val is None else repr(float(val))}")
-    lines.append(f"fit_converged = {'yes' if row.fit_converged else 'no'}")
     return "\n".join(lines) + "\n"
+
+
+def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
+                 failures: list[str]) -> str:
+    """readout and run: one erasure plus the phonon readout of both states."""
+    row = simulated_readout_run(config)
+    if not row.fit_converged:
+        failures.append("phonon fit hit the iteration cap without converging")
+    tail_line = _check_truncation(config, failures)
+    if fmt == "table":
+        return format_sweep_table([row], provenance_line(command, config))
+    text = (_run_summary(row, config, values) if command == "run"
+            else _readout_summary(row, config))
+    return text + f"fit_converged = {'yes' if row.fit_converged else 'no'}\n" + tail_line
 
 
 def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
@@ -289,7 +273,7 @@ def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
         raise CliError(f"nbar_points must be >= 1, got {n}")
     grid = np.geomspace(lo, hi, n)
     rows = sweep_temperature(config, grid)
-    return _row_table(rows, "sweep-temp", config)
+    return format_sweep_table(rows, provenance_line("sweep-temp", config))
 
 
 def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
@@ -300,7 +284,7 @@ def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
         raise CliError(f"theta_points must be >= 1, got {n}")
     grid = np.linspace(lo, hi, n)
     rows = sweep_theta(config, grid)
-    return _row_table(rows, "sweep-theta", config)
+    return format_sweep_table(rows, provenance_line("sweep-theta", config))
 
 
 def _cmd_crossings(config: ExperimentConfig) -> str:
@@ -321,33 +305,28 @@ def parse_and_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise CliError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
-        overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
+        overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
         config, values = load_config(args.config_path, overrides, args.realistic)
+        failures: list[str] = []
         if args.subcommand == "verify":
-            text = _cmd_verify(config, values, args.format)
-        elif args.subcommand == "run":
-            text = _cmd_run(config, values, args.format)
-        elif args.subcommand == "readout":
-            text = _cmd_readout(config, args.format, args.strict)
+            text = _cmd_verify(config, values, failures)
+        elif args.subcommand in ("readout", "run"):
+            text = _cmd_readout(args.subcommand, config, values, args.format, failures)
         elif args.subcommand == "sweep-temp":
             text = _cmd_sweep_temp(config, values)
         elif args.subcommand == "sweep-theta":
             text = _cmd_sweep_theta(config, values)
         else:
             text = _cmd_crossings(config)
-        if args.subcommand in ("readout", "run"):
-            tail_line, failure = _check_truncation(config)
-            text += tail_line if args.format == "structured" else ""
-            if failure:
-                raise NumericalFailure(failure, output=text)
+        if failures:
+            raise NumericalFailure("; ".join(failures), output=text)
         _emit(text, args.output_path)
         return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalFailure as exc:
-        if exc.output is not None:
-            _emit(exc.output, args.output_path)
+        _emit(exc.output, args.output_path)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

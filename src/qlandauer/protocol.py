@@ -151,6 +151,9 @@ class SweepRow:
     fit_converged: bool | None = None
 
 
+SWEEP_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
+
+
 def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, JointState]:
     """Execute one erasure and evaluate its ledger.
 
@@ -169,51 +172,42 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     return landauer_ledger(initial, final, nbar), initial, final
 
 
-def _ledger_row(variable: str, value: float, config: ExperimentConfig) -> SweepRow:
-    ledger, _, _ = run_erasure(config)
-    return SweepRow(
-        variable=variable,
-        value=value,
-        nbar0=config.effective_nbar0,
-        temperature=ledger.temperature,
-        lhs=ledger.lhs,
-        rhs=ledger.rhs,
-        delta_s=ledger.delta_s,
-        mutual_info=ledger.mutual_info,
-        relative_entropy=ledger.relative_entropy,
-        residual=ledger.residual,
-        exact_mean_phonon=ledger.e_final,
-    )
+def _ledger_row(variable: str, value: float, config: ExperimentConfig,
+                ledger: LandauerLedger, **readout) -> SweepRow:
+    """The row of one erasure's ledger: every ledger term a column shares the
+    name of, plus the readout fields given in ``readout``."""
+    terms = {name: term for name, term in vars(ledger).items() if name in SWEEP_COLUMNS}
+    return SweepRow(variable=variable, value=value, nbar0=config.effective_nbar0,
+                    exact_mean_phonon=ledger.e_final, **terms, **readout)
+
+
+def _pi_pulse(config: ExperimentConfig) -> ExperimentConfig:
+    """config with the erasure pulse set to the red-sideband pi pulse."""
+    return dataclasses.replace(config, pulse=config.pulse.with_duration(config.pulse.t_op))
 
 
 def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
     """Equality test across reservoir temperatures: one row per nbar0 at
     theta_c = pi/2 and a pi-pulse erasure."""
+    base = dataclasses.replace(_pi_pulse(config), theta_c=math.pi / 2)
     rows = []
     for nbar in nbar_list:
         if not 0 < nbar < math.inf:
             raise ValueError(f"sweep nbar values must be finite and > 0, got {nbar}")
-        cfg = dataclasses.replace(
-            config,
-            nbar0=float(nbar),
-            theta_c=math.pi / 2,
-            pulse=config.pulse.with_duration(config.pulse.t_op),
-        )
-        rows.append(_ledger_row("temperature", temperature_from_nbar(cfg.effective_nbar0), cfg))
+        cfg = dataclasses.replace(base, nbar0=float(nbar))
+        rows.append(_ledger_row("temperature", temperature_from_nbar(cfg.effective_nbar0),
+                                cfg, run_erasure(cfg)[0]))
     return rows
 
 
 def sweep_theta(config: ExperimentConfig, theta_list) -> list[SweepRow]:
     """Equality test across initial states: one row per theta_c at fixed
     nbar0 and a pi-pulse erasure."""
+    base = _pi_pulse(config)
     rows = []
     for theta in theta_list:
-        cfg = dataclasses.replace(
-            config,
-            theta_c=float(theta),
-            pulse=config.pulse.with_duration(config.pulse.t_op),
-        )
-        rows.append(_ledger_row("theta_c", float(theta), cfg))
+        cfg = dataclasses.replace(base, theta_c=float(theta))
+        rows.append(_ledger_row("theta_c", float(theta), cfg, run_erasure(cfg)[0]))
     return rows
 
 
@@ -227,9 +221,7 @@ def find_entropy_zero_crossings(
     A |delta_s| within double-precision epsilon counts as an exact zero:
     at a bracket end it has no sign, at a midpoint it is the crossing.
     """
-    cfg0 = dataclasses.replace(
-        config, pulse=config.pulse.with_duration(config.pulse.t_op)
-    )
+    cfg0 = _pi_pulse(config)
     zero = np.finfo(float).eps
 
     def delta_s(theta: float) -> float:
@@ -306,18 +298,8 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     )
     model_error = float(np.max(np.abs(exact_post.p_down - modeled.p_down)))
 
-    return SweepRow(
-        variable="theta_c",
-        value=config.theta_c,
-        nbar0=nbar,
-        temperature=ledger.temperature,
-        lhs=ledger.lhs,
-        rhs=ledger.rhs,
-        delta_s=ledger.delta_s,
-        mutual_info=ledger.mutual_info,
-        relative_entropy=ledger.relative_entropy,
-        residual=ledger.residual,
-        exact_mean_phonon=ledger.e_final,
+    return _ledger_row(
+        "theta_c", config.theta_c, config, ledger,
         fitted_mean_phonon=fit_post.mean_phonon,
         exact_mean_phonon_pre=ledger.e_initial,
         fitted_mean_phonon_pre=fit_pre.mean_phonon,
@@ -329,13 +311,6 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
 # ---------------------------------------------------------------------------
 # Delimited-text emission (plotting-tool-ready) with provenance headers.
-
-SWEEP_COLUMNS = (
-    "variable", "value", "nbar0", "temperature", "lhs", "rhs", "delta_s",
-    "mutual_info", "relative_entropy", "residual", "exact_mean_phonon",
-    "fitted_mean_phonon", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
-    "delta_q_estimate", "readout_model_error", "fit_converged",
-)
 
 
 def config_digest(config: ExperimentConfig) -> str:

@@ -85,11 +85,6 @@ class TestVerify:
         assert summary_value(out, "n_max") == "55276"
         assert summary_value(out, "verified") == "yes"
 
-    def test_divergent_as_table_is_numerical_failure(self, capsys):
-        code, _, err = run_cli(["verify", "--nbar0", "0", "--format", "table"], capsys)
-        assert code == 2
-        assert "divergent" in err
-
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -114,6 +109,12 @@ class TestArgumentValidation:
         ["sweep-temp", "--format", "structured"],
         ["crossings", "--format", "table"],
         ["verify", "--strict"],
+        ["verify", "--format", "table"],
+        ["readout", "--strict"],
+        ["run", "--strict"],
+        ["sweep-temp", "--t-pulse", "1"],
+        ["sweep-theta", "--theta-c", "1"],
+        ["crossings", "--t-pulse", "1"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -253,7 +254,9 @@ class TestUnitDisplay:
 
 
 class TestReadoutAndRun:
-    def test_strict_flags_non_convergence(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["structured", "table"])
+    @pytest.mark.parametrize("command", ["readout", "run"])
+    def test_non_convergence_fails_with_output(self, command, fmt, capsys, monkeypatch):
         import qlandauer.readout as readout_mod
 
         original = readout_mod._simplex_least_squares
@@ -263,9 +266,24 @@ class TestReadoutAndRun:
             return x, False
 
         monkeypatch.setattr(readout_mod, "_simplex_least_squares", never_converges)
-        code, _, err = run_cli(["readout", "--strict"], capsys)
+        code, out, err = run_cli([command, "--format", fmt], capsys)
         assert code == 2
-        assert "converging" in err
+        assert "fit" in err and "converging" in err
+        if fmt == "structured":
+            assert summary_value(out, "fit_converged") == "no"
+        else:
+            assert out.splitlines()[2].split(",")[-1] == "0.0"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--nbar0", "0", "--format", "table"],
+        ["sweep-theta", "--nbar0", "0", "--theta-points", "3"],
+    ])
+    def test_divergent_terms_are_empty_cells(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        for row in parse_sweep_table(out)[1]:
+            assert row.temperature is row.lhs is row.relative_entropy is None
+            assert row.rhs is row.residual is None
 
     def test_noiseless_readout_matches_exact(self, capsys):
         code, out, _ = run_cli(["readout"], capsys)
