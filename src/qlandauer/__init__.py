@@ -1,12 +1,13 @@
 """Qubit-erasure simulator against a quantized thermal reservoir.
 
-Subpackages: linear algebra primitives (linalg), the trapped-ion physical
-model (ion), information-thermodynamic functionals and the erasure-equality
-ledger (info), the sideband readout chain (readout), experiment
-orchestration (protocol), and the command line (cli).
+Modules: the trapped-ion physical model (ion), information-thermodynamic
+functionals and the erasure-equality ledger (info), the sideband readout
+chain (readout), experiment orchestration (protocol), and the command line
+(cli).  The dense reference the tests compare against (linalg's
+DensityMatrix, kron and partial_trace; ion.thermal_state and
+ion.jc_block_unitary) is not re-exported here; import it from its module.
 """
 
-from .linalg import DensityMatrix, kron, partial_trace
 from .ion import (
     ETA_DEFAULT,
     OMEGA_DEFAULT,
@@ -18,8 +19,6 @@ from .ion import (
     carrier_rotation,
     dephase_qubit,
     evolve,
-    jc_block_unitary,
-    thermal_state,
 )
 from .info import (
     LandauerLedger,

@@ -2,7 +2,8 @@
 
 Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
-then command-line overrides, in that precedence.  Exit codes: 0 success,
+then command-line overrides, in that precedence; a file may set any key, a
+subcommand takes and hashes only the keys it reads.  Exit codes: 0 success,
 1 validation error, 2 numerical failure (a failed equality check, a
 truncation check failed by verify, readout or run, or a non-converged fit
 under readout or run); a failed check still writes the output.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import math
 import sys
 
@@ -28,7 +30,6 @@ from .protocol import (
     find_entropy_zero_crossings,
     format_ledger_summary,
     format_sweep_table,
-    provenance_line,
     run_erasure,
     simulated_readout_run,
     sweep_temperature,
@@ -71,9 +72,19 @@ CONFIG_KEYS = {
     "theta_points": int,
 }
 
-SUBCOMMANDS = ("verify", "sweep-temp", "sweep-theta", "crossings", "readout", "run")
-# These always erase with the pi pulse and choose theta_c themselves.
-PI_PULSE_COMMANDS = ("sweep-temp", "sweep-theta", "crossings")
+# The keys each subcommand reads, hence its flags and its provenance hash.  Sweeps
+# and crossings set the pi pulse and theta_c themselves, sweep-temp also nbar0.
+_ERASURE_KEYS = ("eta", "omega", "phi", "n_max", "init_fidelity", "cool_nbar", "seed")
+_READOUT_KEYS = ("theta_c", "nbar0", "t_pulse", "shots", "readout_points", "readout_span",
+                 "gamma0", "decay_alpha", "n_fit", "detection_epsilon") + _ERASURE_KEYS
+COMMAND_KEYS = {
+    "verify": ("theta_c", "nbar0", "t_pulse", "omega_z") + _ERASURE_KEYS,
+    "sweep-temp": ("nbar_min", "nbar_max", "nbar_points") + _ERASURE_KEYS,
+    "sweep-theta": ("nbar0", "theta_min", "theta_max", "theta_points") + _ERASURE_KEYS,
+    "crossings": ("nbar0",) + _ERASURE_KEYS,
+    "readout": _READOUT_KEYS,
+    "run": _READOUT_KEYS + ("omega_z",),
+}
 
 
 class CliError(Exception):
@@ -98,7 +109,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qlandauer", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
-    for name in SUBCOMMANDS:
+    for name, keys in COMMAND_KEYS.items():
         sp = sub.add_parser(name, add_help=True)
         sp.add_argument("--config", dest="config_path", default=None,
                         help="flat key = value config file")
@@ -109,10 +120,8 @@ def _build_parser() -> _Parser:
                             default="structured", help="output format")
         sp.add_argument("--realistic", action="store_true",
                         help="enable the quoted hardware imperfection preset")
-        for key, kind in CONFIG_KEYS.items():
-            if name in PI_PULSE_COMMANDS and key in ("theta_c", "t_pulse"):
-                continue
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+        for key in keys:
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=CONFIG_KEYS[key],
                             default=None, metavar=key.upper())
     return parser
 
@@ -149,7 +158,7 @@ def _fields(cls) -> list[str]:
 
 def load_config(config_path: str | None, overrides: dict,
                 realistic: bool = False) -> tuple[ExperimentConfig, dict]:
-    """Merge defaults <- config file <- CLI overrides and validate.
+    """Merge defaults <- config file <- CLI overrides and validate every key.
 
     Returns the experiment config plus the raw merged key map (the sweep
     grid keys live only in the latter).  With ``realistic`` the quoted
@@ -168,21 +177,35 @@ def load_config(config_path: str | None, overrides: dict,
     for key, value in values.items():
         if CONFIG_KEYS[key] is float and value is not None and not math.isfinite(value):
             raise CliError(f"{key} must be finite, got {value}")
+    lo, hi = values["nbar_min"], values["nbar_max"]
+    if not 0 < lo <= hi:
+        raise CliError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
+    lo, hi = values["theta_min"], values["theta_max"]
+    if not 0 <= lo <= hi <= math.pi:
+        raise CliError(f"invalid theta grid: theta_min={lo}, theta_max={hi}")
+    for key in ("nbar_points", "theta_points"):
+        if values[key] < 1:
+            raise CliError(f"{key} must be >= 1, got {values[key]}")
 
     try:
-        readout_pulse = PulseParams(**{key: values[key] for key in _fields(PulseParams)},
-                                    duration=0.0)
-        duration = readout_pulse.t_op if values["t_pulse"] is None else values["t_pulse"]
+        UnitSystem(values["omega_z"])
+        pulse = PulseParams(**{key: values[key] for key in _fields(PulseParams)}, duration=0.0)
         config = ExperimentConfig(
-            pulse=readout_pulse.with_duration(duration),
-            readout_pulse=readout_pulse,
+            pulse=pulse.with_duration(pulse.t_op if values["t_pulse"] is None
+                                      else values["t_pulse"]),
             imperfections=Imperfections(**{key: values[key] for key in _fields(Imperfections)}),
             **{key: values[key] for key in _fields(ExperimentConfig)},
         )
-        config.validate()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return config, values
+
+
+def provenance_line(command: str, values: dict) -> str:
+    """Header line: a hash of the values of the keys ``command`` reads, and the seed."""
+    canonical = repr([(key, values[key]) for key in COMMAND_KEYS[command]])
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return f"# qlandauer {command} config={digest} seed={values['seed']}"
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -211,7 +234,7 @@ def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> 
     if not ledger.divergent and not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
         failures.append(
             f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
-    text = format_ledger_summary(ledger, config, provenance_line("verify", config),
+    text = format_ledger_summary(ledger, config, provenance_line("verify", values),
                                  units=UnitSystem(values["omega_z"]))
     text += _check_truncation(config, failures)
     verdict = "divergent" if ledger.divergent else "no" if failures else "yes"
@@ -228,7 +251,7 @@ def _run_summary(row, config: ExperimentConfig, values: dict) -> str:
         **{key: getattr(row, key) for key in ("temperature", "lhs", "delta_s", "mutual_info",
                                               "relative_entropy", "rhs", "residual")},
     )
-    text = format_ledger_summary(ledger, config, provenance_line("run", config),
+    text = format_ledger_summary(ledger, config, provenance_line("run", values),
                                  units=UnitSystem(values["omega_z"]))
     return text + (
         f"exact_mean_phonon_pre = {row.exact_mean_phonon_pre!r}\n"
@@ -241,8 +264,8 @@ def _run_summary(row, config: ExperimentConfig, values: dict) -> str:
     )
 
 
-def _readout_summary(row, config: ExperimentConfig) -> str:
-    lines = [provenance_line("readout", config)]
+def _readout_summary(row, values: dict) -> str:
+    lines = [provenance_line("readout", values)]
     for name in ("value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
                  "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
                  "readout_model_error"):
@@ -259,38 +282,28 @@ def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
         failures.append("phonon fit hit the iteration cap without converging")
     tail_line = _check_truncation(config, failures)
     if fmt == "table":
-        return format_sweep_table([row], provenance_line(command, config))
+        return format_sweep_table([row], provenance_line(command, values))
     text = (_run_summary(row, config, values) if command == "run"
-            else _readout_summary(row, config))
+            else _readout_summary(row, values))
     return text + f"fit_converged = {'yes' if row.fit_converged else 'no'}\n" + tail_line
 
 
 def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
-    lo, hi, n = values["nbar_min"], values["nbar_max"], values["nbar_points"]
-    if not 0 < lo <= hi:
-        raise CliError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
-    if n < 1:
-        raise CliError(f"nbar_points must be >= 1, got {n}")
-    grid = np.geomspace(lo, hi, n)
+    grid = np.geomspace(values["nbar_min"], values["nbar_max"], values["nbar_points"])
     rows = sweep_temperature(config, grid)
-    return format_sweep_table(rows, provenance_line("sweep-temp", config))
+    return format_sweep_table(rows, provenance_line("sweep-temp", values))
 
 
 def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
-    lo, hi, n = values["theta_min"], values["theta_max"], values["theta_points"]
-    if not 0 <= lo <= hi <= math.pi:
-        raise CliError(f"invalid theta grid: theta_min={lo}, theta_max={hi}")
-    if n < 1:
-        raise CliError(f"theta_points must be >= 1, got {n}")
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(values["theta_min"], values["theta_max"], values["theta_points"])
     rows = sweep_theta(config, grid)
-    return format_sweep_table(rows, provenance_line("sweep-theta", config))
+    return format_sweep_table(rows, provenance_line("sweep-theta", values))
 
 
-def _cmd_crossings(config: ExperimentConfig) -> str:
+def _cmd_crossings(config: ExperimentConfig, values: dict) -> str:
     theta_low, theta_high = find_entropy_zero_crossings(config)
     lines = [
-        provenance_line("crossings", config),
+        provenance_line("crossings", values),
         f"nbar0 = {config.effective_nbar0!r}",
         f"theta_low = {'absent' if theta_low is None else repr(theta_low)}",
         f"theta_high = {'absent' if theta_high is None else repr(theta_high)}",
@@ -304,8 +317,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
-            raise CliError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
-        overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+            raise CliError("a subcommand is required: " + ", ".join(COMMAND_KEYS))
+        overrides = {key: getattr(args, key) for key in COMMAND_KEYS[args.subcommand]}
         config, values = load_config(args.config_path, overrides, args.realistic)
         failures: list[str] = []
         if args.subcommand == "verify":
@@ -317,7 +330,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         elif args.subcommand == "sweep-theta":
             text = _cmd_sweep_theta(config, values)
         else:
-            text = _cmd_crossings(config)
+            text = _cmd_crossings(config, values)
         if failures:
             raise NumericalFailure("; ".join(failures), output=text)
         _emit(text, args.output_path)

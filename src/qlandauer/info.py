@@ -34,6 +34,10 @@ class UnitSystem:
 
     omega_z: float = OMEGA_Z_DEFAULT  # rad/us
 
+    def __post_init__(self):
+        if not self.omega_z > 0:
+            raise ValueError(f"omega_z must be > 0, got {self.omega_z}")
+
     @property
     def q0_joule(self) -> float:
         return HBAR_JS * self.omega_z * 1e6  # rad/us -> rad/s

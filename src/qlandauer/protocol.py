@@ -11,7 +11,6 @@ bit for bit and sweep rows may execute in any order.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ class Imperfections:
     detection_epsilon: float = 0.0  # symmetric readout misclassification
     cool_nbar: float = 0.0          # occupation floor left by cooling
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.init_fidelity <= 1.0:
             raise ValueError(f"init_fidelity must be in [0, 1], got {self.init_fidelity}")
         if not 0.0 <= self.detection_epsilon <= 1.0:
@@ -71,25 +70,25 @@ REALISTIC_IMPERFECTIONS = Imperfections(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One erasure experiment: preparation angle, reservoir occupation,
-    drive parameters, truncation, readout settings, imperfections."""
+    """One erasure experiment: preparation angle, reservoir occupation, the
+    pulse (its eta and omega also set the readout), truncation, readout
+    settings, imperfections.  Validated on construction and on replace."""
 
     theta_c: float = math.pi / 2
     nbar0: float = 0.074
     pulse: PulseParams = PulseParams()
-    readout_pulse: PulseParams = PulseParams()
     n_max: int | None = None            # None -> automatic sizing from nbar0
     shots: int = 0                      # 0 -> noiseless sentinel
     seed: int = 2024
     readout_points: int = 30
-    readout_span: float | None = None   # None -> 6 * t_op of the readout pulse
+    readout_span: float | None = None   # None -> 6 * t_op of the pulse
     gamma0: float = 0.0
     decay_alpha: float = 0.7
     n_fit: int | None = None            # None -> default_n_fit rule
     imperfections: Imperfections = Imperfections()
 
-    def validate(self) -> None:
-        for part in (self, self.pulse, self.readout_pulse, self.imperfections):
+    def __post_init__(self):
+        for part in (self, self.pulse, self.imperfections):
             for name, value in vars(part).items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
@@ -99,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.readout_points < 2:
             raise ValueError(f"readout_points must be >= 2, got {self.readout_points}")
         if self.readout_span is not None and self.readout_span <= 0:
@@ -109,7 +110,6 @@ class ExperimentConfig:
             raise ValueError(f"n_fit must be >= 1, got {self.n_fit}")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        self.imperfections.validate()
 
     @property
     def effective_nbar0(self) -> float:
@@ -124,7 +124,7 @@ class ExperimentConfig:
     def readout_times(self) -> np.ndarray:
         span = self.readout_span
         if span is None:
-            span = 6.0 * self.readout_pulse.t_op
+            span = 6.0 * self.pulse.t_op
         return np.linspace(0.0, span, self.readout_points)
 
 
@@ -160,7 +160,6 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     Returns (ledger, initial joint state, final joint state); the initial
     state is the post-dephasing, pre-pulse product state.
     """
-    config.validate()
     trunc = config.truncation()
     nbar = config.effective_nbar0
 
@@ -259,7 +258,6 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     A config with fewer readout_points than the larger fit needs (n_fit + 1)
     is rejected before the erasure runs.
     """
-    config.validate()
     nbar = config.effective_nbar0
     n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
     n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
@@ -276,13 +274,13 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
     def probe(state: JointState, n_fit: int, seed: int):
         reset = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
-        trace = exact_trace(reset, config.readout_pulse, times)
+        trace = exact_trace(reset, config.pulse, times)
         if eps > 0:
             trace = detection_flip(trace, eps)
         if config.shots > 0:
             trace = sample_shots(trace, config.shots, seed)
         return fit_phonon_populations(
-            trace, config.readout_pulse, n_fit, config.gamma0, config.decay_alpha
+            trace, config.pulse, n_fit, config.gamma0, config.decay_alpha
         )
 
     fit_pre = probe(initial, n_fit_pre, config.seed)
@@ -290,10 +288,10 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
     # How far the down-only incoherent model is from the exact readout of the
     # actual correlated post-erasure state.
-    exact_post = exact_trace(final, config.readout_pulse, times)
+    exact_post = exact_trace(final, config.pulse, times)
     post_pops = final.reduced_fock()
     modeled = model_trace(
-        post_pops / post_pops.sum(), config.readout_pulse, times,
+        post_pops / post_pops.sum(), config.pulse, times,
         config.gamma0, config.decay_alpha,
     )
     model_error = float(np.max(np.abs(exact_post.p_down - modeled.p_down)))
@@ -311,16 +309,6 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
 # ---------------------------------------------------------------------------
 # Delimited-text emission (plotting-tool-ready) with provenance headers.
-
-
-def config_digest(config: ExperimentConfig) -> str:
-    """Short deterministic hash of the full configuration."""
-    canonical = repr(config).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:12]
-
-
-def provenance_line(command: str, config: ExperimentConfig) -> str:
-    return f"# qlandauer {command} config={config_digest(config)} seed={config.seed}"
 
 
 def _cell(value) -> str:

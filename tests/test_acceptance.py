@@ -119,7 +119,7 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
 
 def test_criterion_7_readout_round_trip_and_monte_carlo():
     start = time.perf_counter()
-    pulse = DEFAULT.readout_pulse
+    pulse = DEFAULT.pulse
     times = DEFAULT.readout_times()
 
     # noiseless: any 4-support distribution returns within 1e-6 elementwise

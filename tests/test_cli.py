@@ -1,18 +1,32 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qlandauer.cli import (
+    COMMAND_KEYS,
     CONFIG_KEYS,
     CliError,
     load_config,
     parse_and_dispatch,
     parse_config_file,
+    provenance_line,
 )
 from qlandauer.protocol import SWEEP_COLUMNS, parse_sweep_table
 
 FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
+
+# A valid value other than the default for every config key.
+NON_DEFAULT = {
+    "theta_c": 1.0, "nbar0": 0.3, "eta": 0.1, "omega": 1.0, "phi": 0.2, "t_pulse": 10.0,
+    "omega_z": 7.0, "n_max": 40, "shots": 7, "seed": 11, "readout_points": 40,
+    "readout_span": 150.0, "gamma0": 0.001, "decay_alpha": 0.5, "n_fit": 9,
+    "init_fidelity": 0.99, "detection_epsilon": 0.001, "cool_nbar": 0.01,
+    "nbar_min": 0.1, "nbar_max": 1.0, "nbar_points": 3,
+    "theta_min": 0.1, "theta_max": 3.0, "theta_points": 5,
+}
 
 
 def run_cli(argv, capsys):
@@ -73,6 +87,13 @@ class TestVerify:
         assert summary_value(out, "verified") == "no"
         assert "n_max = 2" in err and "tail mass" in err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_trap_frequency_names_key(self, value, capsys):
+        code, out, err = run_cli(["verify", "--omega-z", value], capsys)
+        assert code == 1
+        assert "omega_z" in err and "Traceback" not in err
+        assert out == ""
+
     def test_unbounded_nbar_names_key(self, capsys):
         code, out, err = run_cli(["verify", "--nbar0", "1e308"], capsys)
         assert code == 1
@@ -90,7 +111,8 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_value_names_key(self, key, value, capsys):
-        code, out, err = run_cli(["verify", f"--{key.replace('_', '-')}={value}"], capsys)
+        command = next(name for name, keys in COMMAND_KEYS.items() if key in keys)
+        code, out, err = run_cli([command, f"--{key.replace('_', '-')}={value}"], capsys)
         assert code == 1
         assert key in err and "finite" in err and "Traceback" not in err
         assert out == ""
@@ -115,11 +137,22 @@ class TestArgumentValidation:
         ["sweep-temp", "--t-pulse", "1"],
         ["sweep-theta", "--theta-c", "1"],
         ["crossings", "--t-pulse", "1"],
+        ["sweep-temp", "--nbar0", "5"],
+        ["verify", "--shots", "5"],
+        ["verify", "--nbar-min", "1"],
+        ["crossings", "--shots", "7"],
+        ["readout", "--omega-z", "1"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "unrecognized arguments" in err and argv[1] in err
+        assert out == ""
+
+    def test_negative_seed_names_key(self, capsys):
+        code, out, err = run_cli(["readout", "--shots", "100", "--seed", "-5"], capsys)
+        assert code == 1
+        assert "seed" in err and "Traceback" not in err
         assert out == ""
 
     def test_missing_subcommand(self, capsys):
@@ -160,6 +193,15 @@ class TestConfigFile:
         with pytest.raises(CliError, match="frobnicate"):
             parse_config_file(str(path))
 
+    @pytest.mark.parametrize("command", ["verify", "crossings"])
+    def test_bad_grid_in_file_rejected_by_every_command(self, command, tmp_path, capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_text("theta_max = 4\n", encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1
+        assert "theta_max" in err and "Traceback" not in err
+        assert out == ""
+
     def test_cli_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("nbar0 = 0.1\n", encoding="utf-8")
@@ -172,6 +214,46 @@ class TestConfigFile:
         code, out, _ = run_cli(["verify", "--theta-c", "1.5708"], capsys)
         assert code == 0
         assert float(summary_value(out, "theta_c")) == 1.5708
+
+
+class TestProvenance:
+    def test_digest_tracks_config(self):
+        _, values = load_config(None, {})
+        _, again = load_config(None, {})
+        for command, keys in COMMAND_KEYS.items():
+            assert provenance_line(command, values) == provenance_line(command, again)
+            for key in keys:
+                changed = dict(values, **{key: NON_DEFAULT[key]})
+                assert provenance_line(command, changed) != provenance_line(command, values)
+
+    @pytest.mark.parametrize("command", list(COMMAND_KEYS))
+    def test_unread_keys_leave_output_unchanged(self, command, tmp_path, capsys):
+        path = tmp_path / "unread.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items()
+                                if key not in COMMAND_KEYS[command]), encoding="utf-8")
+        code, plain, _ = run_cli([command], capsys)
+        assert code == 0
+        code, with_file, _ = run_cli([command, "--config", str(path)], capsys)
+        assert code == 0
+        assert with_file == plain
+
+
+    def test_readme_key_table_matches_command_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) != 4 or not cells[0].startswith("`"):
+                continue
+            names = re.findall(r"`(\w+)((?:/\w+)*)`", cells[0])
+            commands = (set(COMMAND_KEYS) if cells[3] == "all"
+                        else set(re.findall(r"`([\w-]+)`", cells[3])))
+            for stem, suffixes in names:
+                base = stem.rsplit("_", 1)[0]
+                keys = [stem] + [f"{base}_{s}" for s in suffixes.split("/")[1:]]
+                documented.update(dict.fromkeys(keys, commands))
+        assert documented == {key: {c for c, keys in COMMAND_KEYS.items() if key in keys}
+                              for key in CONFIG_KEYS}
 
 
 class TestPresets:

@@ -194,6 +194,11 @@ class TestUnitSystem:
         assert abs(units.t0_kelvin * 1e6 - 48.47) < 0.1
         assert abs(units.t0_kelvin - units.q0_joule / 1.380649e-23) < 1e-6 * units.t0_kelvin
 
+    @pytest.mark.parametrize("omega_z", [-1.0, 0.0, math.nan])
+    def test_nonpositive_trap_frequency_names_key(self, omega_z):
+        with pytest.raises(ValueError, match="omega_z must be > 0"):
+            UnitSystem(omega_z)
+
 
 class TestLandauerLedger:
     def test_identity_evolution_gives_zero_ledger(self):
