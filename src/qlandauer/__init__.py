@@ -32,7 +32,6 @@ from .info import (
 )
 from .readout import (
     PhononFit,
-    RabiTrace,
     default_n_fit,
     detection_flip,
     exact_trace,

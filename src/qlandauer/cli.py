@@ -4,9 +4,10 @@ Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence; a file may set any key, a
 subcommand takes and hashes only the keys it reads.  Exit codes: 0 success,
-1 validation error, 2 numerical failure (a failed equality check, a
-truncation check failed by verify, readout or run, or a non-converged fit
-under readout or run); a failed check still writes the output.
+1 validation error (an output file that cannot be written included), 2
+numerical failure (a failed equality check, a truncation check failed by
+verify, readout or run, or a non-converged fit under readout or run); a
+failed check still writes the output.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_NUMERICAL = 2
 
 # key -> parser.  Unset keys take the defaults of the ExperimentConfig,
 # PulseParams, Imperfections and UnitSystem field of the same name, and of
-# the *_GRID_DEFAULT sweep grids; an unset t_pulse means the pi pulse.
+# the *_GRID_DEFAULT sweep grids.
 CONFIG_KEYS = {
     "theta_c": float,
     "nbar0": float,
@@ -89,15 +90,6 @@ COMMAND_KEYS = {
 
 class CliError(Exception):
     """Validation failure; message names the offending key or value."""
-
-
-class NumericalFailure(Exception):
-    """One or more checks failed; the message names every failure and
-    ``output``, the command's full output, is still written before exiting."""
-
-    def __init__(self, message: str, output: str):
-        super().__init__(message)
-        self.output = output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +160,6 @@ def load_config(config_path: str | None, overrides: dict,
     values = {key: getattr(obj, key)
               for obj in (ExperimentConfig(), PulseParams(), base, UnitSystem())
               for key in _fields(type(obj))}
-    values["t_pulse"] = None
     values.update(zip(("nbar_min", "nbar_max", "nbar_points"), NBAR_GRID_DEFAULT))
     values.update(zip(("theta_min", "theta_max", "theta_points"), THETA_GRID_DEFAULT))
     if config_path is not None:
@@ -189,10 +180,8 @@ def load_config(config_path: str | None, overrides: dict,
 
     try:
         UnitSystem(values["omega_z"])
-        pulse = PulseParams(**{key: values[key] for key in _fields(PulseParams)}, duration=0.0)
         config = ExperimentConfig(
-            pulse=pulse.with_duration(pulse.t_op if values["t_pulse"] is None
-                                      else values["t_pulse"]),
+            pulse=PulseParams(**{key: values[key] for key in _fields(PulseParams)}),
             imperfections=Imperfections(**{key: values[key] for key in _fields(Imperfections)}),
             **{key: values[key] for key in _fields(ExperimentConfig)},
         )
@@ -211,9 +200,12 @@ def provenance_line(command: str, values: dict) -> str:
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output file {output_path}: {exc.strerror}") from exc
 
 
 def _check_truncation(config: ExperimentConfig, failures: list[str]) -> str:
@@ -331,20 +323,16 @@ def parse_and_dispatch(argv: list[str]) -> int:
             text = _cmd_sweep_theta(config, values)
         else:
             text = _cmd_crossings(config, values)
-        if failures:
-            raise NumericalFailure("; ".join(failures), output=text)
-        _emit(text, args.output_path)
-        return EXIT_OK
-    except CliError as exc:
+        # Failed checks are named even when the output cannot be written.
+        try:
+            _emit(text, args.output_path)
+        finally:
+            if failures:
+                print(f"numerical failure: {'; '.join(failures)}", file=sys.stderr)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalFailure as exc:
-        _emit(exc.output, args.output_path)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 def main() -> None:

@@ -77,29 +77,23 @@ class FockTruncation:
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Sideband or carrier drive: Lamb-Dicke eta, Rabi frequency (rad/us),
-    laser phase (rad), duration (us)."""
+    """Drive calibration: Lamb-Dicke eta, Rabi frequency (rad/us), laser
+    phase (rad).  Drive times are passed to each function that drives."""
 
     eta: float = ETA_DEFAULT
     omega: float = OMEGA_DEFAULT
     phi: float = 0.0
-    duration: float = T_OP_DEFAULT
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
 
     @property
     def t_op(self) -> float:
         """pi-pulse length on the n = 0 sideband block, pi/(eta*omega)."""
         return math.pi / (self.eta * self.omega)
-
-    def with_duration(self, duration: float) -> "PulseParams":
-        return PulseParams(self.eta, self.omega, self.phi, duration)
 
 
 @dataclass(frozen=True)
@@ -190,8 +184,8 @@ def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
     return p.eta * p.omega * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
 
 
-def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """Closed-form sideband evolution exp(-i H t) as a dense matrix.
+def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation, t: float) -> np.ndarray:
+    """Closed-form sideband evolution exp(-i H t) for time t as a dense matrix.
 
     The red drive is eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2,
     the blue drive eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2.
@@ -202,7 +196,7 @@ def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation) -> np.nda
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
     d, n = trunc.dim, np.arange(trunc.n_max)
-    half_angles = sideband_half_angles(p, trunc.n_max, p.duration)
+    half_angles = sideband_half_angles(p, trunc.n_max, t)
     # <target|H|source> carries e^{-i phi}: <down,n+1|H|up,n> under red,
     # <up,n+1|H|down,n> under blue
     target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
@@ -213,11 +207,11 @@ def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation) -> np.nda
     return u
 
 
-def evolve(rho: JointState, p: PulseParams) -> JointState:
-    """Drive the red sideband for p.duration: U rho U† pair by pair, with
+def evolve(rho: JointState, p: PulseParams, t: float) -> JointState:
+    """Drive the red sideband for time t: U rho U† pair by pair, with
     U = [[c, -i s e^{-i phi}], [-i s e^{i phi}, c]] on (|down,n+1>, |up,n>)
     and c, s of the block's half angle; the dark states are untouched."""
-    half_angles = sideband_half_angles(p, rho.n_max, p.duration)
+    half_angles = sideband_half_angles(p, rho.n_max, t)
     c, s, phase = np.cos(half_angles), np.sin(half_angles), np.exp(-1j * p.phi)
     up, down, coh = rho.populations[1, :-1], rho.populations[0, 1:], rho.red_coherences
     cross = 2.0 * c * s * (1j * phase * np.conj(coh)).real

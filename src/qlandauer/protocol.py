@@ -2,9 +2,9 @@
 
 The pipeline per run: prepare the qubit via carrier rotation (angle theta_c)
 on a possibly imperfectly initialized level, dephase, attach the thermal
-reservoir, drive the red sideband for the configured pulse length, then
-evaluate the erasure-equality ledger.  Every result is a pure function of
-the config (and seed, when shots are drawn), so runs are reproducible
+reservoir, drive the red sideband for t_pulse (by default the pi pulse),
+then evaluate the erasure-equality ledger.  Every result is a pure function
+of the config (and seed, when shots are drawn), so runs are reproducible
 bit for bit and sweep rows may execute in any order.
 """
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .info import LandauerLedger, UnitSystem, landauer_ledger, temperature_from_nbar
 from .ion import (
+    N_MAX_FLOOR,
     FockTruncation,
     JointState,
     PulseParams,
@@ -71,12 +72,14 @@ REALISTIC_IMPERFECTIONS = Imperfections(
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One erasure experiment: preparation angle, reservoir occupation, the
-    pulse (its eta and omega also set the readout), truncation, readout
-    settings, imperfections.  Validated on construction and on replace."""
+    drive calibration (the erasure and the readout use the same one), the
+    erasure pulse length, truncation, readout settings, imperfections.
+    Validated on construction and on replace."""
 
     theta_c: float = math.pi / 2
     nbar0: float = 0.074
     pulse: PulseParams = PulseParams()
+    t_pulse: float | None = None        # None -> the pi pulse t_op
     n_max: int | None = None            # None -> automatic sizing from nbar0
     shots: int = 0                      # 0 -> noiseless sentinel
     seed: int = 2024
@@ -96,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
+        if self.t_pulse is not None and self.t_pulse < 0:
+            raise ValueError(f"t_pulse must be >= 0, got {self.t_pulse}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.seed < 0:
@@ -108,8 +113,13 @@ class ExperimentConfig:
             raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
         if self.n_fit is not None and self.n_fit < 1:
             raise ValueError(f"n_fit must be >= 1, got {self.n_fit}")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max is not None and self.n_max < N_MAX_FLOOR:
+            raise ValueError(f"n_max must be >= {N_MAX_FLOOR}, got {self.n_max}")
+
+    @property
+    def erasure_time(self) -> float:
+        """Length of the red-sideband erasure pulse, us."""
+        return self.pulse.t_op if self.t_pulse is None else self.t_pulse
 
     @property
     def effective_nbar0(self) -> float:
@@ -167,7 +177,7 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     u_c = carrier_rotation(config.theta_c)
     qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
     initial = dephase_qubit(qubit, np.exp(thermal_log_weights(nbar, trunc)))
-    final = evolve(initial, config.pulse)
+    final = evolve(initial, config.pulse, config.erasure_time)
     return landauer_ledger(initial, final, nbar), initial, final
 
 
@@ -180,15 +190,10 @@ def _ledger_row(variable: str, value: float, config: ExperimentConfig,
                     exact_mean_phonon=ledger.e_final, **terms, **readout)
 
 
-def _pi_pulse(config: ExperimentConfig) -> ExperimentConfig:
-    """config with the erasure pulse set to the red-sideband pi pulse."""
-    return dataclasses.replace(config, pulse=config.pulse.with_duration(config.pulse.t_op))
-
-
 def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
     """Equality test across reservoir temperatures: one row per nbar0 at
     theta_c = pi/2 and a pi-pulse erasure."""
-    base = dataclasses.replace(_pi_pulse(config), theta_c=math.pi / 2)
+    base = dataclasses.replace(config, t_pulse=None, theta_c=math.pi / 2)
     rows = []
     for nbar in nbar_list:
         if not 0 < nbar < math.inf:
@@ -202,7 +207,7 @@ def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
 def sweep_theta(config: ExperimentConfig, theta_list) -> list[SweepRow]:
     """Equality test across initial states: one row per theta_c at fixed
     nbar0 and a pi-pulse erasure."""
-    base = _pi_pulse(config)
+    base = dataclasses.replace(config, t_pulse=None)
     rows = []
     for theta in theta_list:
         cfg = dataclasses.replace(base, theta_c=float(theta))
@@ -220,7 +225,7 @@ def find_entropy_zero_crossings(
     A |delta_s| within double-precision epsilon counts as an exact zero:
     at a bracket end it has no sign, at a midpoint it is the crossing.
     """
-    cfg0 = _pi_pulse(config)
+    cfg0 = dataclasses.replace(config, t_pulse=None)
     zero = np.finfo(float).eps
 
     def delta_s(theta: float) -> float:
@@ -274,13 +279,13 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
     def probe(state: JointState, n_fit: int, seed: int):
         reset = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
-        trace = exact_trace(reset, config.pulse, times)
+        p_down = exact_trace(reset, config.pulse, times)
         if eps > 0:
-            trace = detection_flip(trace, eps)
+            p_down = detection_flip(p_down, eps)
         if config.shots > 0:
-            trace = sample_shots(trace, config.shots, seed)
+            p_down = sample_shots(p_down, config.shots, seed)
         return fit_phonon_populations(
-            trace, config.pulse, n_fit, config.gamma0, config.decay_alpha
+            times, p_down, config.pulse, n_fit, config.gamma0, config.decay_alpha
         )
 
     fit_pre = probe(initial, n_fit_pre, config.seed)
@@ -294,7 +299,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         post_pops / post_pops.sum(), config.pulse, times,
         config.gamma0, config.decay_alpha,
     )
-    model_error = float(np.max(np.abs(exact_post.p_down - modeled.p_down)))
+    model_error = float(np.max(np.abs(exact_post - modeled)))
 
     return _ledger_row(
         "theta_c", config.theta_c, config, ledger,
@@ -367,7 +372,7 @@ def format_ledger_summary(ledger: LandauerLedger, config: ExperimentConfig,
         provenance,
         f"theta_c = {config.theta_c!r}",
         f"nbar0 = {config.effective_nbar0!r}",
-        f"pulse_duration_us = {config.pulse.duration!r}",
+        f"pulse_duration_us = {config.erasure_time!r}",
         f"eta = {config.pulse.eta!r}",
         f"omega_rad_per_us = {config.pulse.omega!r}",
         f"n_max = {config.truncation().n_max!r}",

@@ -3,7 +3,9 @@
 A blue-sideband pulse of variable length maps phonon populations onto the
 qubit excitation probability; the populations are then recovered from the
 time trace by least squares over the probability simplex, with the sideband
-frequencies eta*Omega*sqrt(n+1) held fixed (calibrated, not fitted).
+frequencies eta*Omega*sqrt(n+1) held fixed (calibrated, not fitted).  A
+trace is a plain array of qubit-down probabilities, one per readout time;
+the caller holds the times and passes them to each function that needs them.
 """
 
 from __future__ import annotations
@@ -20,43 +22,12 @@ FIT_OBJECTIVE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class RabiTrace:
-    """Excitation-probability record: strictly increasing times (us), the
-    qubit-down probabilities, shot count per point (0 = noiseless), seed."""
-
-    times: np.ndarray
-    p_down: np.ndarray
-    shots_per_point: int = 0
-    seed: int | None = None
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        p = np.array(self.p_down, dtype=float)
-        if t.ndim != 1 or p.shape != t.shape:
-            raise ValueError("times and p_down must be 1-d arrays of equal length")
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-            raise ValueError("p_down entries must lie in [0, 1]")
-        t.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "p_down", p)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class PhononFit:
     """Recovered phonon distribution and its first moment."""
 
     populations: np.ndarray     # p_0 .. p_{n_fit}, on the simplex
-    n_fit: int
     mean_phonon: float
     residual_norm: float        # RMS of model - data
-    decay_gamma0: float
-    decay_alpha: float
     converged: bool = True
 
     def __post_init__(self):
@@ -70,7 +41,7 @@ def default_n_fit(nbar_expected: float) -> int:
     return max(8, math.ceil(5.0 * nbar_expected))
 
 
-def exact_trace(rho: JointState, p: PulseParams, times) -> RabiTrace:
+def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
     """Noiseless qubit-down population under the blue sideband, per time.
 
     The blue drive rotates the pairs (|down,n>, |up,n+1>) (|down,n_max> is
@@ -89,11 +60,11 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> RabiTrace:
     pops = rho.populations
     values = (np.cos(half_angles)**2 @ pops[0, :-1] + np.sin(half_angles)**2 @ pops[1, 1:]
               + pops[0, -1])
-    return RabiTrace(times=times, p_down=np.clip(values, 0.0, 1.0))
+    return np.clip(values, 0.0, 1.0)
 
 
 def model_trace(populations, p: PulseParams, times, gamma0: float = 0.0,
-                alpha: float = 0.7) -> RabiTrace:
+                alpha: float = 0.7) -> np.ndarray:
     """Incoherent-sum model trace for a qubit starting in |down>:
 
         p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t) e^{-gamma_n t}] / 2
@@ -103,59 +74,53 @@ def model_trace(populations, p: PulseParams, times, gamma0: float = 0.0,
     pops = np.asarray(populations, dtype=float)
     if np.any(pops < -1e-12) or abs(pops.sum() - 1.0) > 1e-9:
         raise ValueError("populations must be a probability vector")
-    times = np.asarray(times, dtype=float)
     a = _design_matrix(len(pops) - 1, p, times, gamma0, alpha)
-    return RabiTrace(times=times, p_down=np.clip(a @ pops, 0.0, 1.0))
+    return np.clip(a @ pops, 0.0, 1.0)
 
 
-def sample_shots(trace: RabiTrace, shots: int, seed: int) -> RabiTrace:
+def sample_shots(p_down: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Replace each point by a binomial draw divided by the shot count."""
-    if trace.shots_per_point != 0:
-        raise ValueError("sample_shots expects a noiseless input trace")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    counts = rng.binomial(shots, trace.p_down)
-    return RabiTrace(times=trace.times, p_down=counts / shots,
-                     shots_per_point=shots, seed=seed)
+    return rng.binomial(shots, p_down) / shots
 
 
-def detection_flip(trace: RabiTrace, epsilon: float) -> RabiTrace:
+def detection_flip(p_down: np.ndarray, epsilon: float) -> np.ndarray:
     """Symmetric misclassification: p -> (1 - eps) p + eps (1 - p)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    p = (1.0 - epsilon) * trace.p_down + epsilon * (1.0 - trace.p_down)
-    return RabiTrace(times=trace.times, p_down=p,
-                     shots_per_point=trace.shots_per_point, seed=trace.seed)
+    return (1.0 - epsilon) * p_down + epsilon * (1.0 - p_down)
 
 
-def fit_phonon_populations(trace: RabiTrace, p: PulseParams, n_fit: int,
+def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
                            gamma0: float = 0.0, alpha: float = 0.7) -> PhononFit:
     """Least-squares phonon populations over the probability simplex.
 
-    Minimizes ||model(p_vec) - trace||_2 subject to p_n >= 0, sum p_n = 1,
-    via projected gradient descent (fixed step 1/L, no momentum) on the
-    fixed cosine design matrix.
+    Minimizes ||model(p_vec) - p_down||_2 over the trace taken at ``times``,
+    subject to p_n >= 0, sum p_n = 1, via projected gradient descent (fixed
+    step 1/L, no momentum) on the fixed cosine design matrix.
     The problem is a small convex QP, so the solver either converges (the
     objective stops improving by more than FIT_OBJECTIVE_TOL) or the result
     is flagged non-converged and carries the best iterate.
     """
+    times = np.asarray(times, dtype=float)
+    p_down = np.asarray(p_down, dtype=float)
+    if times.shape != p_down.shape:
+        raise ValueError(f"times and p_down differ in shape: {times.shape} and {p_down.shape}")
     if n_fit < 1:
         raise ValueError(f"n_fit must be >= 1, got {n_fit}")
-    if len(trace) < n_fit + 1:
+    if len(times) < n_fit + 1:
         raise ValueError(
-            f"trace has {len(trace)} points, fewer than n_fit + 1 = {n_fit + 1}"
+            f"trace has {len(times)} points, fewer than n_fit + 1 = {n_fit + 1}"
         )
-    a = _design_matrix(n_fit, p, trace.times, gamma0, alpha)
-    pops, converged = _simplex_least_squares(a, trace.p_down)
-    resid = a @ pops - trace.p_down
+    a = _design_matrix(n_fit, p, times, gamma0, alpha)
+    pops, converged = _simplex_least_squares(a, p_down)
+    resid = a @ pops - p_down
     return PhononFit(
         populations=pops,
-        n_fit=n_fit,
         mean_phonon=float(np.dot(np.arange(n_fit + 1), pops)),
         residual_norm=float(np.sqrt(np.mean(resid**2))),
-        decay_gamma0=gamma0,
-        decay_alpha=alpha,
         converged=converged,
     )
 

@@ -140,7 +140,7 @@ def dense_erasure(config) -> tuple[DensityMatrix, DensityMatrix]:
     qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
     m = kron(qubit, thermal_state(config.effective_nbar0, trunc).matrix)
     m[:trunc.dim, trunc.dim:] = m[trunc.dim:, :trunc.dim] = 0.0
-    u = jc_block_unitary("red", config.pulse, trunc)
+    u = jc_block_unitary("red", config.pulse, trunc, config.erasure_time)
     return DensityMatrix(m), DensityMatrix(u @ m @ u.conj().T)
 
 
@@ -162,6 +162,6 @@ def dense_blue_trace(rho: DensityMatrix, p: PulseParams, times) -> np.ndarray:
     trunc = FockTruncation(rho.dim // 2 - 1)
     values = np.empty(len(times))
     for i, t in enumerate(times):
-        down_rows = jc_block_unitary("blue", p.with_duration(float(t)), trunc)[:trunc.dim]
+        down_rows = jc_block_unitary("blue", p, trunc, float(t))[:trunc.dim]
         values[i] = np.einsum("ij,jk,ik->", down_rows, rho.matrix, down_rows.conj()).real
     return values

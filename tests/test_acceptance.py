@@ -44,8 +44,7 @@ def equality_grid():
         for nbar in NBAR_GRID:
             for factor in T_FACTORS:
                 cfg = dataclasses.replace(
-                    DEFAULT, theta_c=theta, nbar0=nbar,
-                    pulse=DEFAULT.pulse.with_duration(factor * t_op))
+                    DEFAULT, theta_c=theta, nbar0=nbar, t_pulse=factor * t_op)
                 ledger, _, _ = run_erasure(cfg)
                 ledgers.append(ledger)
     elapsed = time.perf_counter() - start
@@ -102,15 +101,15 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
             eta=float(rng.uniform(0.02, 0.3)),
             omega=float(rng.uniform(0.2, 3.0)),
             phi=float(rng.uniform(-math.pi, math.pi)),
-            duration=float(rng.uniform(0.0, 150.0)),
         )
+        t = float(rng.uniform(0.0, 150.0))
         trunc = FockTruncation(int(rng.integers(1, 10)))
         kind, builder = (
             ("red", red_sideband_hamiltonian) if rng.integers(2) == 0
             else ("blue", blue_sideband_hamiltonian))
         diff = np.linalg.norm(
-            jc_block_unitary(kind, p, trunc)
-            - expm_i_hermitian(builder(p, trunc), p.duration), 2)
+            jc_block_unitary(kind, p, trunc, t)
+            - expm_i_hermitian(builder(p, trunc), t), 2)
         worst = max(worst, diff)
     ok = worst < 1e-10
     print(f"  [worst operator-norm difference over 100 draws: {worst:.3e}]")
@@ -127,8 +126,8 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
     worst = 0.0
     for _ in range(25):
         pops = np.append(rng.dirichlet(np.ones(4)), 0.0)
-        trace = model_trace(pops, pulse, times)
-        fit = fit_phonon_populations(trace, pulse, n_fit=4)
+        p_down = model_trace(pops, pulse, times)
+        fit = fit_phonon_populations(times, p_down, pulse, n_fit=4)
         worst = max(worst, float(np.max(np.abs(fit.populations - pops))))
     round_trip_ok = worst < 1e-6
 
@@ -144,7 +143,7 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
     estimates = []
     for seed in range(50):
         noisy = sample_shots(clean, 100, seed)
-        estimates.append(fit_phonon_populations(noisy, pulse, n_fit=3).mean_phonon)
+        estimates.append(fit_phonon_populations(times, noisy, pulse, n_fit=3).mean_phonon)
     bias = abs(float(np.mean(estimates)) - truth)
     spread = float(np.std(estimates))
     elapsed = time.perf_counter() - start

@@ -25,7 +25,7 @@ def experiment(theta, nbar0, t_factor, fidelity, phi, n_max=None):
     pulse = PulseParams(phi=phi)
     return ExperimentConfig(
         theta_c=theta, nbar0=nbar0, n_max=n_max,
-        pulse=pulse.with_duration(t_factor * pulse.t_op),
+        pulse=pulse, t_pulse=t_factor * pulse.t_op,
         imperfections=Imperfections(init_fidelity=fidelity))
 
 
@@ -59,13 +59,13 @@ def test_block_core_matches_dense_oracle(theta, nbar0, t_factor, fidelity, phi, 
             assert abs(getattr(ledger, key) - value) <= 1e-12, key
 
     times = cfg.readout_times()
-    np.testing.assert_allclose(exact_trace(final, cfg.pulse, times).p_down,
+    np.testing.assert_allclose(exact_trace(final, cfg.pulse, times),
                                dense_blue_trace(dense_final, cfg.pulse, times),
                                rtol=0, atol=1e-12)
     for state, dense in ((initial, dense_initial), (final, dense_final)):
         probe = dephase_qubit(DOWN, state.reduced_fock())
         dense_probe = DensityMatrix(kron(DOWN, dense_reduced(dense, "B").matrix))
-        np.testing.assert_allclose(exact_trace(probe, cfg.pulse, times).p_down,
+        np.testing.assert_allclose(exact_trace(probe, cfg.pulse, times),
                                    dense_blue_trace(dense_probe, cfg.pulse, times),
                                    rtol=0, atol=1e-12)
 

@@ -14,7 +14,7 @@ from qlandauer.cli import (
     parse_config_file,
     provenance_line,
 )
-from qlandauer.protocol import SWEEP_COLUMNS, parse_sweep_table
+from qlandauer.protocol import SWEEP_COLUMNS, ExperimentConfig, parse_sweep_table
 
 FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
@@ -65,6 +65,12 @@ class TestVerify:
         code, out, err = run_cli(["verify", "--theta-c", "7"], capsys)
         assert code == 1
         assert "theta_c" in err
+        assert out == ""
+
+    def test_negative_pulse_length_names_key(self, capsys):
+        code, out, err = run_cli(["verify", "--t-pulse", "-1"], capsys)
+        assert code == 1
+        assert "t_pulse must be >= 0" in err
         assert out == ""
 
     def test_zero_eta_names_key(self, capsys):
@@ -268,6 +274,9 @@ class TestPresets:
         assert code == 0
         assert float(summary_value(out, "nbar0")) == 0.01
 
+    def test_defaults_are_the_library_defaults(self):
+        assert load_config(None, {})[0] == ExperimentConfig()
+
     def test_load_config_surface(self):
         config, values = load_config(None, {}, realistic=True)
         assert config.imperfections.init_fidelity == 0.989
@@ -433,6 +442,14 @@ class TestReadoutAndRun:
         assert out.splitlines()[1] == ",".join(SWEEP_COLUMNS)
         assert len(parse_sweep_table(out)[1]) == 1
 
+    @pytest.mark.parametrize("command", ["readout", "run"])
+    def test_n_max_below_floor_names_key(self, command, capsys):
+        # n_max 1 has no |up,2>, so the readout of |down,1> would come out wrong
+        code, out, err = run_cli([command, "--nbar0", "0", "--n-max", "1"], capsys)
+        assert code == 1
+        assert "n_max must be >= 2" in err
+        assert out == ""
+
     def test_readout_table_format(self, capsys):
         code, out, _ = run_cli(["readout", "--format", "table"], capsys)
         assert code == 0
@@ -464,3 +481,15 @@ class TestDeterminism:
         text = target.read_text(encoding="utf-8")
         assert text.startswith("# qlandauer verify")
         assert "residual = " in text
+
+    @pytest.mark.parametrize("argv, check_fails", [
+        (["verify"], False),
+        (["verify", "--n-max", "2", "--nbar0", "2"], True),
+    ])
+    def test_unwritable_output_names_path(self, argv, check_fails, tmp_path, capsys):
+        target = tmp_path / "missing" / "ledger.txt"
+        code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 1
+        assert f"cannot write output file {target}" in err
+        assert ("numerical failure" in err and "tail mass" in err) == check_fails
+        assert out == ""

@@ -20,6 +20,7 @@ from qlandauer.info import (
     von_neumann_entropy,
 )
 from qlandauer.ion import (
+    T_OP_DEFAULT,
     FockTruncation,
     JointState,
     PulseParams,
@@ -41,12 +42,9 @@ def product_state(theta_c, nbar, trunc):
     return dephase_qubit(np.diag([alpha, 1.0 - alpha]), np.exp(thermal_log_weights(nbar, trunc)))
 
 
-def erase(theta_c, nbar, duration=None, phi=0.0):
+def erase(theta_c, nbar, t=T_OP_DEFAULT, phi=0.0):
     initial = product_state(theta_c, nbar, FockTruncation.for_nbar(nbar))
-    pulse = PulseParams(phi=phi)
-    if duration is not None:
-        pulse = pulse.with_duration(duration)
-    return initial, evolve(initial, pulse)
+    return initial, evolve(initial, PulseParams(phi=phi), t)
 
 
 class TestVonNeumannEntropy:
@@ -223,7 +221,7 @@ class TestLandauerLedger:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi / 2, 2.8])
     @pytest.mark.parametrize("t_factor", [0.0, 0.5, 1.0])
     def test_equality_on_subgrid(self, nbar, theta, t_factor):
-        initial, final = erase(theta, nbar, duration=t_factor * PulseParams().t_op)
+        initial, final = erase(theta, nbar, t=t_factor * PulseParams().t_op)
         ledger = landauer_ledger(initial, final, nbar)
         assert abs(ledger.residual) < 1e-9
         assert ledger.lhs - ledger.delta_s >= -1e-10  # Landauer bound

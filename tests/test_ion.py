@@ -48,9 +48,8 @@ def random_joint_state(rng, trunc):
     """Random qubit and Fock populations, then a red pulse of random length
     and phase: every population and red coherence is generic."""
     product = dephase_qubit(np.diag(rng.dirichlet(np.ones(2))), rng.dirichlet(np.ones(trunc.dim)))
-    pulse = PulseParams(phi=float(rng.uniform(-math.pi, math.pi)),
-                        duration=float(rng.uniform(0.0, 100.0)))
-    return evolve(product, pulse)
+    pulse = PulseParams(phi=float(rng.uniform(-math.pi, math.pi)))
+    return evolve(product, pulse, float(rng.uniform(0.0, 100.0)))
 
 
 class TestFockTruncation:
@@ -237,16 +236,15 @@ class TestSidebandHamiltonians:
 
 class TestJcBlockUnitary:
     def test_zero_duration_is_identity(self):
-        p = PulseParams(duration=0.0)
         trunc = FockTruncation(4)
         for kind in ("red", "blue"):
             np.testing.assert_array_equal(
-                jc_block_unitary(kind, p, trunc), np.eye(2 * trunc.dim))
+                jc_block_unitary(kind, PulseParams(), trunc, 0.0), np.eye(2 * trunc.dim))
 
     def test_pi_pulse_full_transfer(self):
-        p = PulseParams()  # duration = t_op = pi/(eta*omega)
+        p = PulseParams()
         trunc = FockTruncation(4)
-        u = jc_block_unitary("red", p, trunc)
+        u = jc_block_unitary("red", p, trunc, p.t_op)  # t_op = pi/(eta*omega)
         out = u @ basis_state(trunc, 1, 0)
         prob_down1 = abs(out[0 * trunc.dim + 1]) ** 2
         assert abs(prob_down1 - 1.0) < 1e-12
@@ -255,7 +253,7 @@ class TestJcBlockUnitary:
         # block angle pi*sqrt(2) => transfer sin^2(pi*sqrt(2)/2)
         p = PulseParams()
         trunc = FockTruncation(4)
-        u = jc_block_unitary("red", p, trunc)
+        u = jc_block_unitary("red", p, trunc, p.t_op)
         out = u @ basis_state(trunc, 1, 1)
         expected = math.sin(math.pi * math.sqrt(2) / 2) ** 2
         assert abs(abs(out[0 * trunc.dim + 2]) ** 2 - expected) < 1e-12
@@ -267,22 +265,22 @@ class TestJcBlockUnitary:
                 eta=float(rng.uniform(0.02, 0.3)),
                 omega=float(rng.uniform(0.2, 3.0)),
                 phi=float(rng.uniform(-math.pi, math.pi)),
-                duration=float(rng.uniform(0.0, 120.0)),
             )
+            t = float(rng.uniform(0.0, 120.0))
             trunc = FockTruncation(int(rng.integers(1, 9)))
             for kind, builder in (
                 ("red", red_sideband_hamiltonian),
                 ("blue", blue_sideband_hamiltonian),
             ):
-                u_closed = jc_block_unitary(kind, p, trunc)
-                u_expm = expm_i_hermitian(builder(p, trunc), p.duration)
+                u_closed = jc_block_unitary(kind, p, trunc, t)
+                u_expm = expm_i_hermitian(builder(p, trunc), t)
                 assert np.linalg.norm(u_closed - u_expm, 2) < 1e-10
 
     def test_blue_rabi_from_down_ground(self):
         p = PulseParams()
         trunc = FockTruncation(3)
         for t in np.linspace(0.0, 4 * T_OP_DEFAULT, 17):
-            u = jc_block_unitary("blue", p.with_duration(float(t)), trunc)
+            u = jc_block_unitary("blue", p, trunc, float(t))
             out = u @ basis_state(trunc, 0, 0)
             p_down = abs(out[0]) ** 2
             expected = (1 + math.cos(p.eta * p.omega * t)) / 2
@@ -292,27 +290,27 @@ class TestJcBlockUnitary:
         p = PulseParams()
         trunc = FockTruncation(5)
         for t in np.linspace(0.0, 5 * T_OP_DEFAULT, 13):
-            u = jc_block_unitary("red", p.with_duration(float(t)), trunc)
+            u = jc_block_unitary("red", p, trunc, float(t))
             out = u @ basis_state(trunc, 0, 0)
             assert abs(abs(out[0]) ** 2 - 1.0) < 1e-12
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            jc_block_unitary("green", PulseParams(), FockTruncation(2))
+            jc_block_unitary("green", PulseParams(), FockTruncation(2), 1.0)
 
 
 class TestEvolve:
     def test_identity(self):
         rng = np.random.default_rng(12)
         rho = random_joint_state(rng, FockTruncation(3))
-        out = evolve(rho, PulseParams(phi=0.4, duration=0.0))
+        out = evolve(rho, PulseParams(phi=0.4), 0.0)
         np.testing.assert_allclose(out.populations, rho.populations, atol=1e-15)
         np.testing.assert_allclose(out.red_coherences, rho.red_coherences, atol=1e-15)
 
     def test_spectrum_and_purity_preserved(self):
         rng = np.random.default_rng(13)
         rho = random_joint_state(rng, FockTruncation(3))
-        out = evolve(rho, PulseParams(duration=17.0))
+        out = evolve(rho, PulseParams(), 17.0)
         np.testing.assert_allclose(np.sort(out.spectrum), np.sort(rho.spectrum), atol=1e-12)
         np.testing.assert_allclose(
             np.sort(out.spectrum), np.linalg.eigvalsh(dense_matrix(out)), atol=1e-12)
@@ -325,10 +323,10 @@ class TestEvolve:
             trunc = FockTruncation(int(rng.integers(1, 9)))
             rho = random_joint_state(rng, trunc)
             p = PulseParams(eta=float(rng.uniform(0.02, 0.3)), omega=float(rng.uniform(0.2, 3.0)),
-                            phi=float(rng.uniform(-math.pi, math.pi)),
-                            duration=float(rng.uniform(0.0, 120.0)))
-            u = jc_block_unitary("red", p, trunc)
-            np.testing.assert_allclose(dense_matrix(evolve(rho, p)),
+                            phi=float(rng.uniform(-math.pi, math.pi)))
+            t = float(rng.uniform(0.0, 120.0))
+            u = jc_block_unitary("red", p, trunc, t)
+            np.testing.assert_allclose(dense_matrix(evolve(rho, p, t)),
                                        u @ dense_matrix(rho) @ u.conj().T, rtol=0, atol=1e-14)
 
 
@@ -366,8 +364,6 @@ class TestPulseParams:
             PulseParams(eta=0.0)
         with pytest.raises(ValueError, match="omega"):
             PulseParams(omega=-1.0)
-        with pytest.raises(ValueError, match="duration"):
-            PulseParams(duration=-1.0)
 
 
 class TestJointState:

@@ -54,7 +54,7 @@ class TestRunErasure:
             assert ledger.delta_s < 0
 
     def test_zero_duration_gives_zero_ledger(self):
-        cfg = dataclasses.replace(DEFAULT, pulse=DEFAULT.pulse.with_duration(0.0))
+        cfg = dataclasses.replace(DEFAULT, t_pulse=0.0)
         ledger, initial, final = run_erasure(cfg)
         np.testing.assert_allclose(dense_matrix(final), dense_matrix(initial), atol=1e-15)
         for term in (ledger.delta_q, ledger.delta_s, ledger.mutual_info,
@@ -119,7 +119,7 @@ class TestRunErasure:
         for changes, key in (
             ({"nbar0": math.nan}, "nbar0"),
             ({"decay_alpha": -math.inf}, "decay_alpha"),
-            ({"pulse": DEFAULT.pulse.with_duration(math.inf)}, "duration"),
+            ({"t_pulse": math.inf}, "t_pulse"),
             ({"imperfections": Imperfections(cool_nbar=math.nan)}, "cool_nbar"),
         ):
             with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -128,6 +128,14 @@ class TestRunErasure:
     def test_negative_seed_names_key(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ExperimentConfig(seed=-5)
+
+    def test_negative_pulse_length_names_key(self):
+        with pytest.raises(ValueError, match="t_pulse must be >= 0"):
+            ExperimentConfig(t_pulse=-1.0)
+
+    def test_default_erasure_is_the_pi_pulse(self):
+        assert DEFAULT.erasure_time == DEFAULT.pulse.t_op
+        assert ExperimentConfig(t_pulse=10.0).erasure_time == 10.0
 
 
 class TestSweepTemperature:
@@ -255,8 +263,8 @@ class TestSimulatedReadout:
             clean = exact_trace(probe, DEFAULT.pulse, times)
             flipped = detection_flip(clean, 0.0022)
             n_fit = default_n_fit(expected_nbar)
-            base = fit_phonon_populations(clean, DEFAULT.pulse, n_fit)
-            perturbed = fit_phonon_populations(flipped, DEFAULT.pulse, n_fit)
+            base = fit_phonon_populations(times, clean, DEFAULT.pulse, n_fit)
+            perturbed = fit_phonon_populations(times, flipped, DEFAULT.pulse, n_fit)
             assert np.max(np.abs(base.populations - perturbed.populations)) < 0.01
 
     def test_model_error_reported(self):

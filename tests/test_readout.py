@@ -13,7 +13,6 @@ from qlandauer.ion import (
 )
 from qlandauer.linalg import DensityMatrix
 from qlandauer.readout import (
-    RabiTrace,
     _simplex_least_squares,
     default_n_fit,
     detection_flip,
@@ -41,21 +40,20 @@ def thermal_populations(nbar):
 class TestExactTrace:
     def test_down_ground_rabi_formula(self):
         state = down_fock_state([1.0, 0.0, 0.0, 0.0])
-        trace = exact_trace(state, PULSE, TIMES)
+        p_down = exact_trace(state, PULSE, TIMES)
         expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
-        np.testing.assert_allclose(trace.p_down, expected, atol=1e-12)
+        np.testing.assert_allclose(p_down, expected, atol=1e-12)
 
     def test_up_ground_is_dark(self):
         state = dephase_qubit(np.diag([0.0, 1.0]), [1.0, 0.0, 0.0, 0.0])
-        trace = exact_trace(state, PULSE, TIMES)
-        np.testing.assert_allclose(trace.p_down, 0.0, atol=1e-12)
+        np.testing.assert_allclose(exact_trace(state, PULSE, TIMES), 0.0, atol=1e-12)
 
     def test_matches_incoherent_model_for_down_diagonal_states(self):
         pops = thermal_populations(0.4)
         state = down_fock_state(pops)
         exact = exact_trace(state, PULSE, TIMES)
         modeled = model_trace(pops, PULSE, TIMES, gamma0=0.0)
-        np.testing.assert_allclose(exact.p_down, modeled.p_down, atol=1e-12)
+        np.testing.assert_allclose(exact, modeled, atol=1e-12)
 
     def test_matches_dense_reference_on_random_states(self):
         # random populations, up ones and the dark |down,n_max> included, and
@@ -65,14 +63,14 @@ class TestExactTrace:
             for _ in range(3):
                 product = dephase_qubit(np.diag(rng.dirichlet(np.ones(2))),
                                         rng.dirichlet(np.ones(n_max + 1)))
-                state = evolve(product, PulseParams(phi=float(rng.uniform(-math.pi, math.pi)),
-                                                    duration=float(rng.uniform(0.0, 100.0))))
+                state = evolve(product, PulseParams(phi=float(rng.uniform(-math.pi, math.pi))),
+                               float(rng.uniform(0.0, 100.0)))
                 p = PulseParams(eta=float(rng.uniform(0.02, 0.3)),
                                 omega=float(rng.uniform(0.2, 3.0)),
                                 phi=float(rng.uniform(-math.pi, math.pi)))
                 times = np.linspace(0.0, 6 * p.t_op, 30)
                 np.testing.assert_allclose(
-                    exact_trace(state, p, times).p_down,
+                    exact_trace(state, p, times),
                     dense_blue_trace(DensityMatrix(dense_matrix(state)), p, times),
                     rtol=0, atol=1e-12)
 
@@ -84,13 +82,12 @@ class TestExactTrace:
 
 class TestModelTrace:
     def test_ground_population_only(self):
-        trace = model_trace([1.0], PULSE, TIMES, gamma0=0.0)
+        p_down = model_trace([1.0], PULSE, TIMES, gamma0=0.0)
         expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
-        np.testing.assert_allclose(trace.p_down, expected, atol=1e-14)
+        np.testing.assert_allclose(p_down, expected, atol=1e-14)
 
     def test_starts_at_one(self):
-        trace = model_trace([0.2, 0.5, 0.3], PULSE, TIMES, gamma0=0.012)
-        assert trace.p_down[0] == 1.0
+        assert model_trace([0.2, 0.5, 0.3], PULSE, TIMES, gamma0=0.012)[0] == 1.0
 
     def test_thermal_beating_against_direct_sum(self):
         # independent oracle: explicit loop over levels at one time point
@@ -100,15 +97,15 @@ class TestModelTrace:
             p * (1 + math.cos(PULSE.eta * PULSE.omega * math.sqrt(n + 1) * t)) / 2
             for n, p in enumerate(pops)
         )
-        trace = model_trace(pops, PULSE, [0.0, t], gamma0=0.0)
-        assert abs(trace.p_down[1] - expected) < 1e-12
+        p_down = model_trace(pops, PULSE, [0.0, t], gamma0=0.0)
+        assert abs(p_down[1] - expected) < 1e-12
 
     def test_decay_envelope(self):
         gamma0, alpha, t = 0.02, 0.7, 40.0
-        trace = model_trace([0.0, 1.0], PULSE, [0.0, t], gamma0=gamma0, alpha=alpha)
+        p_down = model_trace([0.0, 1.0], PULSE, [0.0, t], gamma0=gamma0, alpha=alpha)
         freq = PULSE.eta * PULSE.omega * math.sqrt(2)
         expected = (1 + math.cos(freq * t) * math.exp(-gamma0 * 2**alpha * t)) / 2
-        assert abs(trace.p_down[1] - expected) < 1e-12
+        assert abs(p_down[1] - expected) < 1e-12
 
     def test_invalid_populations_rejected(self):
         with pytest.raises(ValueError, match="probability"):
@@ -119,64 +116,54 @@ class TestModelTrace:
 
 class TestSampleShots:
     def test_deterministic_endpoints(self):
-        trace = RabiTrace(times=[0.0, 1.0], p_down=[1.0, 0.0])
-        sampled = sample_shots(trace, 100, seed=5)
-        assert sampled.p_down[0] == 1.0
-        assert sampled.p_down[1] == 0.0
-        assert sampled.shots_per_point == 100
+        sampled = sample_shots(np.array([1.0, 0.0]), 100, seed=5)
+        assert sampled[0] == 1.0
+        assert sampled[1] == 0.0
 
     def test_binomial_statistics(self):
-        trace = RabiTrace(times=np.arange(1000.0), p_down=np.full(1000, 0.5))
-        sampled = sample_shots(trace, 100, seed=17)
-        assert abs(np.mean(sampled.p_down) - 0.5) < 0.02
-        assert abs(np.var(sampled.p_down) - 0.0025) < 0.2 * 0.0025
+        sampled = sample_shots(np.full(1000, 0.5), 100, seed=17)
+        assert abs(np.mean(sampled) - 0.5) < 0.02
+        assert abs(np.var(sampled) - 0.0025) < 0.2 * 0.0025
 
     def test_reproducible(self):
         trace = model_trace(thermal_populations(0.3), PULSE, TIMES)
         a = sample_shots(trace, 100, seed=9)
         b = sample_shots(trace, 100, seed=9)
-        np.testing.assert_array_equal(a.p_down, b.p_down)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_noisy_input_and_zero_shots(self):
-        trace = RabiTrace(times=[0.0, 1.0], p_down=[1.0, 0.0])
-        noisy = sample_shots(trace, 10, seed=0)
-        with pytest.raises(ValueError, match="noiseless"):
-            sample_shots(noisy, 10, seed=0)
         with pytest.raises(ValueError, match="shots"):
-            sample_shots(trace, 0, seed=0)
+            sample_shots(np.array([1.0, 0.0]), 0, seed=0)
 
 
 class TestDetectionFlip:
     def test_zero_epsilon_unchanged(self):
         trace = model_trace(thermal_populations(0.2), PULSE, TIMES)
-        np.testing.assert_array_equal(detection_flip(trace, 0.0).p_down, trace.p_down)
+        np.testing.assert_array_equal(detection_flip(trace, 0.0), trace)
 
     def test_half_epsilon_flattens(self):
-        trace = RabiTrace(times=[0.0, 1.0, 2.0], p_down=[1.0, 0.3, 0.0])
-        np.testing.assert_allclose(detection_flip(trace, 0.5).p_down, 0.5)
+        np.testing.assert_allclose(detection_flip(np.array([1.0, 0.3, 0.0]), 0.5), 0.5)
 
     def test_quoted_detection_error(self):
-        trace = RabiTrace(times=[0.0], p_down=[1.0])
-        assert abs(detection_flip(trace, 0.0022).p_down[0] - 0.9978) < 1e-15
+        assert abs(detection_flip(np.array([1.0]), 0.0022)[0] - 0.9978) < 1e-15
 
     def test_out_of_range_rejected(self):
-        trace = RabiTrace(times=[0.0], p_down=[1.0])
         with pytest.raises(ValueError, match="epsilon"):
-            detection_flip(trace, 1.5)
+            detection_flip(np.array([1.0]), 1.5)
 
 
 class TestFit:
     def test_round_trip_two_level(self):
-        trace = model_trace([0.9, 0.1], PULSE, TIMES)
-        fit = fit_phonon_populations(trace, PULSE, n_fit=3)
+        p_down = model_trace([0.9, 0.1], PULSE, TIMES)
+        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=3)
         np.testing.assert_allclose(fit.populations, [0.9, 0.1, 0.0, 0.0], atol=1e-6)
         assert fit.converged
         assert fit.residual_norm < 1e-8
 
     def test_round_trip_thermal_mean(self):
         pops = thermal_populations(0.5)
-        trace = model_trace(pops, PULSE, np.linspace(0.0, 200.0, 60))
-        fit = fit_phonon_populations(trace, PULSE, n_fit=12)
+        times = np.linspace(0.0, 200.0, 60)
+        fit = fit_phonon_populations(times, model_trace(pops, PULSE, times), PULSE, n_fit=12)
         truth = float(np.dot(np.arange(len(pops)), pops))
         assert abs(fit.mean_phonon - truth) < 1e-4
 
@@ -186,8 +173,8 @@ class TestFit:
             support = int(rng.integers(2, 5))
             pops = np.zeros(int(rng.integers(support, 10)))
             pops[:support] = rng.dirichlet(np.ones(support))
-            trace = model_trace(pops, PULSE, TIMES)
-            fit = fit_phonon_populations(trace, PULSE, n_fit=len(pops) - 1)
+            p_down = model_trace(pops, PULSE, TIMES)
+            fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=len(pops) - 1)
             np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_noisy_monte_carlo_recovery(self):
@@ -195,11 +182,12 @@ class TestFit:
         # support (>99.9% of weight below n = 4)
         pops = thermal_populations(0.3)
         truth = float(np.dot(np.arange(len(pops)), pops))
-        clean = model_trace(pops, PULSE, np.linspace(0.0, 200.0, 30))
+        times = np.linspace(0.0, 200.0, 30)
+        clean = model_trace(pops, PULSE, times)
         estimates = []
         for seed in range(50):
             noisy = sample_shots(clean, 100, seed)
-            fit = fit_phonon_populations(noisy, PULSE, n_fit=4)
+            fit = fit_phonon_populations(times, noisy, PULSE, n_fit=4)
             estimates.append(fit.mean_phonon)
         assert abs(np.mean(estimates) - truth) < 0.05
         assert np.std(estimates) < 0.1
@@ -207,25 +195,28 @@ class TestFit:
     def test_simplex_hard_constraint_under_noise(self):
         clean = model_trace(thermal_populations(0.2), PULSE, TIMES)
         noisy = sample_shots(clean, 20, seed=3)
-        fit = fit_phonon_populations(noisy, PULSE, n_fit=8)
+        fit = fit_phonon_populations(TIMES, noisy, PULSE, n_fit=8)
         assert np.all(fit.populations >= 0.0)
         assert abs(fit.populations.sum() - 1.0) < 1e-9
         assert abs(fit.mean_phonon
                    - np.dot(np.arange(9), fit.populations)) < 1e-12
 
     def test_decay_parameters_echoed(self):
-        trace = model_trace([1.0], PULSE, TIMES, gamma0=0.01, alpha=0.7)
-        fit = fit_phonon_populations(trace, PULSE, n_fit=2, gamma0=0.01, alpha=0.7)
-        assert fit.decay_gamma0 == 0.01
-        assert fit.decay_alpha == 0.7
+        p_down = model_trace([1.0], PULSE, TIMES, gamma0=0.01, alpha=0.7)
+        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=2, gamma0=0.01, alpha=0.7)
         assert abs(fit.populations[0] - 1.0) < 1e-6
 
     def test_short_trace_rejected(self):
-        trace = model_trace([1.0], PULSE, TIMES[:4])
+        p_down = model_trace([1.0], PULSE, TIMES[:4])
         with pytest.raises(ValueError, match="fewer than"):
-            fit_phonon_populations(trace, PULSE, n_fit=4)
+            fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=4)
         with pytest.raises(ValueError, match="n_fit"):
-            fit_phonon_populations(trace, PULSE, n_fit=0)
+            fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=0)
+
+    def test_length_mismatch_names_arrays(self):
+        p_down = model_trace([1.0], PULSE, TIMES[:4])
+        with pytest.raises(ValueError, match="times and p_down differ in shape"):
+            fit_phonon_populations(TIMES[:5], p_down, PULSE, n_fit=2)
 
     def test_iteration_cap_flags_result(self):
         a = np.array([[1.0, 0.999], [0.999, 1.0], [0.5, 0.501]])
@@ -256,16 +247,3 @@ class TestSimplexProjection:
                 q = rng.dirichlet(np.ones(len(v)))
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
 
-
-class TestTraceValidationAndIo:
-    def test_times_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            RabiTrace(times=[0.0, 0.0], p_down=[1.0, 1.0])
-
-    def test_probability_range_enforced(self):
-        with pytest.raises(ValueError, match="p_down"):
-            RabiTrace(times=[0.0], p_down=[1.2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            RabiTrace(times=[0.0, 1.0], p_down=[1.0])
