@@ -3,7 +3,8 @@
 Subcommands: verify, sweep-temp, sweep-theta, crossings, readout, run.
 Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence; a file may set any key, a
-subcommand takes and hashes only the keys it reads.  Exit codes: 0 success,
+subcommand takes and hashes only the keys it reads, and each of those can
+change its output (seed only where shots are drawn).  Exit codes: 0 success,
 1 validation error (an output file that cannot be written included), 2
 numerical failure (a failed equality check, a truncation check failed by
 verify, readout or run, or a non-converged fit under readout or run); a
@@ -51,7 +52,6 @@ CONFIG_KEYS = {
     "nbar0": float,
     "eta": float,
     "omega": float,
-    "phi": float,
     "t_pulse": float,
     "omega_z": float,
     "n_max": int,
@@ -74,13 +74,19 @@ CONFIG_KEYS = {
 }
 
 # The keys each subcommand reads, hence its flags and its provenance hash.  Sweeps
-# and crossings set the pi pulse and theta_c themselves, sweep-temp also nbar0.
-_ERASURE_KEYS = ("eta", "omega", "phi", "n_max", "init_fidelity", "cool_nbar", "seed")
+# and crossings set theta_c and a pi pulse at the default drive calibration
+# themselves, sweep-temp also nbar0 and a perfect preparation: a pi pulse turns
+# every block through the same angle whatever eta and omega, and theta_c = pi/2
+# dephases to the even mixture whatever init_fidelity, so neither can change
+# their output.
+_ERASURE_KEYS = ("n_max", "init_fidelity", "cool_nbar", "seed")
+_PULSE_KEYS = ("eta", "omega")
 _READOUT_KEYS = ("theta_c", "nbar0", "t_pulse", "shots", "readout_points", "readout_span",
-                 "gamma0", "decay_alpha", "n_fit", "detection_epsilon") + _ERASURE_KEYS
+                 "gamma0", "decay_alpha", "n_fit", "detection_epsilon",
+                 *_PULSE_KEYS, *_ERASURE_KEYS)
 COMMAND_KEYS = {
-    "verify": ("theta_c", "nbar0", "t_pulse", "omega_z") + _ERASURE_KEYS,
-    "sweep-temp": ("nbar_min", "nbar_max", "nbar_points") + _ERASURE_KEYS,
+    "verify": ("theta_c", "nbar0", "t_pulse", "omega_z") + _PULSE_KEYS + _ERASURE_KEYS,
+    "sweep-temp": ("nbar_min", "nbar_max", "nbar_points", "n_max", "cool_nbar", "seed"),
     "sweep-theta": ("nbar0", "theta_min", "theta_max", "theta_points") + _ERASURE_KEYS,
     "crossings": ("nbar0",) + _ERASURE_KEYS,
     "readout": _READOUT_KEYS,

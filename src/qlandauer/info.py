@@ -101,12 +101,16 @@ def reservoir_energy(populations) -> float:
 
 def temperature_from_nbar(nbar: float) -> float:
     """T = T0 / ln(1 + 1/nbar), in units of T0.  Diverging 1/T at nbar = 0
-    is signalled as ZeroTemperatureError so callers must branch."""
+    is signalled as ZeroTemperatureError so callers must branch.  Where 1/nbar
+    overflows (nbar below about 5.6e-309) the log is ln(1 + nbar) - ln(nbar)."""
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if nbar == 0:
         raise ZeroTemperatureError("nbar = 0 means zero temperature; 1/T diverges")
-    return 1.0 / math.log1p(1.0 / nbar)
+    inverse = 1.0 / nbar
+    if math.isinf(inverse):
+        return 1.0 / (math.log1p(nbar) - math.log(nbar))
+    return 1.0 / math.log1p(inverse)
 
 
 def landauer_ledger(initial: JointState, final: JointState, nbar0: float) -> LandauerLedger:

@@ -77,12 +77,13 @@ class FockTruncation:
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Drive calibration: Lamb-Dicke eta, Rabi frequency (rad/us), laser
-    phase (rad).  Drive times are passed to each function that drives."""
+    """Drive calibration: Lamb-Dicke eta and Rabi frequency (rad/us).  Drive
+    times are passed to each function that drives.  There is no laser phase:
+    the erasure acts on a dephased qubit and the readout on populations, so
+    no result depends on it."""
 
     eta: float = ETA_DEFAULT
     omega: float = OMEGA_DEFAULT
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -187,36 +188,33 @@ def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
 def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation, t: float) -> np.ndarray:
     """Closed-form sideband evolution exp(-i H t) for time t as a dense matrix.
 
-    The red drive is eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2,
-    the blue drive eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2.
-    Each coupled pair rotates through twice sideband_half_angles; dark
-    states pick up no phase: |down,0> and |up,n_max> under red, |up,0> and
-    |down,n_max> under blue.
+    The red drive is eta*Omega*(a sigma+ + a† sigma-)/2, the blue drive
+    eta*Omega*(a sigma- + a† sigma+)/2.  Each coupled pair rotates through
+    twice sideband_half_angles; dark states pick up no phase: |down,0> and
+    |up,n_max> under red, |up,0> and |down,n_max> under blue.
     """
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
     d, n = trunc.dim, np.arange(trunc.n_max)
     half_angles = sideband_half_angles(p, trunc.n_max, t)
-    # <target|H|source> carries e^{-i phi}: <down,n+1|H|up,n> under red,
-    # <up,n+1|H|down,n> under blue
+    # coupled pairs: (|down,n+1>, |up,n>) under red, (|up,n+1>, |down,n>) under blue
     target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
     u = np.eye(2 * d, dtype=complex)
     u[target, target] = u[source, source] = np.cos(half_angles)
-    u[target, source] = -1j * np.sin(half_angles) * np.exp(-1j * p.phi)
-    u[source, target] = -1j * np.sin(half_angles) * np.exp(1j * p.phi)
+    u[target, source] = u[source, target] = -1j * np.sin(half_angles)
     return u
 
 
 def evolve(rho: JointState, p: PulseParams, t: float) -> JointState:
     """Drive the red sideband for time t: U rho U† pair by pair, with
-    U = [[c, -i s e^{-i phi}], [-i s e^{i phi}, c]] on (|down,n+1>, |up,n>)
-    and c, s of the block's half angle; the dark states are untouched."""
+    U = [[c, -i s], [-i s, c]] on (|down,n+1>, |up,n>) and c, s of the
+    block's half angle; the dark states are untouched."""
     half_angles = sideband_half_angles(p, rho.n_max, t)
-    c, s, phase = np.cos(half_angles), np.sin(half_angles), np.exp(-1j * p.phi)
+    c, s = np.cos(half_angles), np.sin(half_angles)
     up, down, coh = rho.populations[1, :-1], rho.populations[0, 1:], rho.red_coherences
-    cross = 2.0 * c * s * (1j * phase * np.conj(coh)).real
+    cross = 2.0 * c * s * coh.imag
     pops = rho.populations.copy()
     pops[1, :-1] = c**2 * up + s**2 * down + cross
     pops[0, 1:] = s**2 * up + c**2 * down - cross
-    coh = c**2 * coh + s**2 * phase**2 * np.conj(coh) + 1j * c * s * phase * (down - up)
+    coh = c**2 * coh + s**2 * np.conj(coh) + 1j * c * s * (down - up)
     return JointState(pops, coh)

@@ -43,6 +43,10 @@ THETA_GRID_DEFAULT = (0.0, math.pi, 49)
 
 CROSSING_TOL_RAD = 1e-4
 
+# Largest readout_points * (max(n_max, n_fit) + 1): each readout trace or
+# design array holds that many floats, so one is at most 80 MB.
+READOUT_CELLS_LIMIT = 10_000_000
+
 
 @dataclass(frozen=True)
 class Imperfections:
@@ -190,10 +194,20 @@ def _ledger_row(variable: str, value: float, config: ExperimentConfig,
                     exact_mean_phonon=ledger.e_final, **terms, **readout)
 
 
+def _pi_pulse(config: ExperimentConfig) -> ExperimentConfig:
+    """config erased by the pi pulse at the default drive calibration.  The
+    pi pulse turns block n through pi*sqrt(n+1)/2 whatever eta and omega, so
+    fixing them changes no result and makes it bit-reproducible."""
+    return dataclasses.replace(config, pulse=PulseParams(), t_pulse=None)
+
+
 def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
     """Equality test across reservoir temperatures: one row per nbar0 at
-    theta_c = pi/2 and a pi-pulse erasure."""
-    base = dataclasses.replace(config, t_pulse=None, theta_c=math.pi / 2)
+    theta_c = pi/2 and a pi-pulse erasure.  theta_c = pi/2 dephases to the
+    even mixture whatever the preparation fidelity, so that is fixed at 1."""
+    base = dataclasses.replace(
+        _pi_pulse(config), theta_c=math.pi / 2,
+        imperfections=dataclasses.replace(config.imperfections, init_fidelity=1.0))
     rows = []
     for nbar in nbar_list:
         if not 0 < nbar < math.inf:
@@ -207,7 +221,7 @@ def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
 def sweep_theta(config: ExperimentConfig, theta_list) -> list[SweepRow]:
     """Equality test across initial states: one row per theta_c at fixed
     nbar0 and a pi-pulse erasure."""
-    base = dataclasses.replace(config, t_pulse=None)
+    base = _pi_pulse(config)
     rows = []
     for theta in theta_list:
         cfg = dataclasses.replace(base, theta_c=float(theta))
@@ -225,7 +239,7 @@ def find_entropy_zero_crossings(
     A |delta_s| within double-precision epsilon counts as an exact zero:
     at a bracket end it has no sign, at a midpoint it is the crossing.
     """
-    cfg0 = dataclasses.replace(config, t_pulse=None)
+    cfg0 = _pi_pulse(config)
     zero = np.finfo(float).eps
 
     def delta_s(theta: float) -> float:
@@ -260,8 +274,9 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     Reports fitted vs exact mean phonon numbers, the heat estimate from the
     fits, and the worst-case deviation of the down-only readout model from
     the exact post-erasure trace (residual up population and correlations).
-    A config with fewer readout_points than the larger fit needs (n_fit + 1)
-    is rejected before the erasure runs.
+    A config with fewer readout_points than the larger fit needs (n_fit + 1),
+    or with readout arrays above READOUT_CELLS_LIMIT, is rejected before the
+    erasure runs.
     """
     nbar = config.effective_nbar0
     n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
@@ -271,6 +286,12 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         raise ValueError(
             f"readout_points = {config.readout_points} is fewer than n_fit + 1 = "
             f"{n_fit_max + 1} (n_fit = {n_fit_max}); raise readout_points or lower n_fit"
+        )
+    cells = config.readout_points * (max(config.truncation().n_max, n_fit_max) + 1)
+    if cells > READOUT_CELLS_LIMIT:
+        raise ValueError(
+            f"readout_points = {config.readout_points} gives readout arrays of {cells} "
+            f"values, above the limit {READOUT_CELLS_LIMIT}; lower readout_points"
         )
 
     ledger, initial, final = run_erasure(config)

@@ -19,6 +19,7 @@ from .ion import JointState, PulseParams, sideband_half_angles
 
 FIT_MAX_ITERATIONS = 100_000
 FIT_OBJECTIVE_TOL = 1e-14
+FIT_DISPLACEMENT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ def model_trace(populations, p: PulseParams, times, gamma0: float = 0.0,
 
         p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t) e^{-gamma_n t}] / 2
 
-    with per-level decay gamma_n = gamma0 * (n+1)^alpha.
+    with per-level decay gamma_n = gamma0 * (n+1)^alpha; gamma0 = 0 means
+    no decay at any alpha.
     """
     pops = np.asarray(populations, dtype=float)
     if np.any(pops < -1e-12) or abs(pops.sum() - 1.0) > 1e-9:
@@ -100,9 +102,11 @@ def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
     Minimizes ||model(p_vec) - p_down||_2 over the trace taken at ``times``,
     subject to p_n >= 0, sum p_n = 1, via projected gradient descent (fixed
     step 1/L, no momentum) on the fixed cosine design matrix.
-    The problem is a small convex QP, so the solver either converges (the
-    objective stops improving by more than FIT_OBJECTIVE_TOL) or the result
-    is flagged non-converged and carries the best iterate.
+    The problem is a small convex QP.  The solver converges once a step both
+    improves the objective by less than FIT_OBJECTIVE_TOL and moves every
+    population by less than FIT_DISPLACEMENT_TOL; after FIT_MAX_ITERATIONS
+    steps without that, the result is flagged non-converged and carries the
+    last iterate.  Neither rule certifies optimality.
     """
     times = np.asarray(times, dtype=float)
     p_down = np.asarray(p_down, dtype=float)
@@ -127,10 +131,16 @@ def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
 
 def _design_matrix(n_fit: int, p: PulseParams, times: np.ndarray,
                    gamma0: float, alpha: float) -> np.ndarray:
-    gammas = gamma0 * (np.arange(n_fit + 1) + 1.0) ** alpha
     t = np.asarray(times, dtype=float)[:, None]
     angles = 2.0 * sideband_half_angles(p, n_fit + 1, t)
-    return (1.0 + np.cos(angles) * np.exp(-gammas * t)) / 2.0
+    if gamma0 == 0:
+        return (1.0 + np.cos(angles)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-gamma0 * (np.arange(n_fit + 1) + 1.0) ** alpha * t)
+    if not np.isfinite(envelope).all():
+        raise ValueError(f"gamma0 = {gamma0} and decay_alpha = {alpha} give a non-finite "
+                         f"decay envelope gamma0 * (n+1)^decay_alpha * t")
+    return (1.0 + np.cos(angles) * envelope) / 2.0
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -143,12 +153,7 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-FIT_DISPLACEMENT_TOL = 1e-11
-
-
-def _simplex_least_squares(a: np.ndarray, y: np.ndarray,
-                           max_iter: int = FIT_MAX_ITERATIONS,
-                           tol: float = FIT_OBJECTIVE_TOL) -> tuple[np.ndarray, bool]:
+def _simplex_least_squares(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     """min 0.5 ||a x - y||^2 over the simplex, by projected gradient descent.
 
     Step 1/L with L the largest eigenvalue of a.T a makes every iteration a
@@ -167,12 +172,12 @@ def _simplex_least_squares(a: np.ndarray, y: np.ndarray,
 
     x = np.full(a.shape[1], 1.0 / a.shape[1])
     f_x = objective(x)
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITERATIONS):
         x_new = project_to_simplex(x - step * (ata @ x - aty))
         f_new = objective(x_new)
         displacement = float(np.max(np.abs(x_new - x)))
         improvement = f_x - f_new
         x, f_x = x_new, f_new
-        if improvement < tol and displacement < FIT_DISPLACEMENT_TOL:
+        if improvement < FIT_OBJECTIVE_TOL and displacement < FIT_DISPLACEMENT_TOL:
             return x, True
     return x, False

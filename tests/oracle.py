@@ -58,18 +58,15 @@ def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
 def _sideband_hamiltonian(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
     d = trunc.dim
     h = np.zeros((2 * d, 2 * d), dtype=complex)
-    phase = np.exp(-1j * p.phi)
     for n in range(trunc.n_max):
-        g = p.eta * p.omega * math.sqrt(n + 1) / 2.0
-        # red: <down,n+1|H|up,n> = g e^{-i phi}; blue: <up,n+1|H|down,n> = g e^{-i phi}
+        # red: <down,n+1|H|up,n> = g; blue: <up,n+1|H|down,n> = g
         target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
-        h[target, source] = g * phase
-        h[source, target] = g * np.conj(phase)
+        h[target, source] = h[source, target] = p.eta * p.omega * math.sqrt(n + 1) / 2.0
     return h
 
 
 def red_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """eta*Omega*(a sigma+ e^{i phi} + a† sigma- e^{-i phi})/2 on the joint space.
+    """eta*Omega*(a sigma+ + a† sigma-)/2 on the joint space.
 
     |down,0> is dark; |up,n_max> is dark because the truncated raising
     operator annihilates |n_max>.
@@ -78,7 +75,7 @@ def red_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarra
 
 
 def blue_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    """eta*Omega*(a sigma- e^{i phi} + a† sigma+ e^{-i phi})/2; |up,0> is dark."""
+    """eta*Omega*(a sigma- + a† sigma+)/2; |up,0> is dark."""
     return _sideband_hamiltonian("blue", p, trunc)
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import math
 import re
 from pathlib import Path
@@ -20,13 +23,65 @@ FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
 # A valid value other than the default for every config key.
 NON_DEFAULT = {
-    "theta_c": 1.0, "nbar0": 0.3, "eta": 0.1, "omega": 1.0, "phi": 0.2, "t_pulse": 10.0,
+    "theta_c": 1.0, "nbar0": 0.3, "eta": 0.1, "omega": 1.0, "t_pulse": 10.0,
     "omega_z": 7.0, "n_max": 40, "shots": 7, "seed": 11, "readout_points": 40,
     "readout_span": 150.0, "gamma0": 0.001, "decay_alpha": 0.5, "n_fit": 9,
     "init_fidelity": 0.99, "detection_epsilon": 0.001, "cool_nbar": 0.01,
     "nbar_min": 0.1, "nbar_max": 1.0, "nbar_points": 3,
     "theta_min": 0.1, "theta_max": 3.0, "theta_points": 5,
 }
+
+# For each key, a value that changes the output of every command taking it,
+# and the other keys (set where a command takes them) it needs for that:
+# eta and omega act only off the pi pulse, init_fidelity only off theta_c =
+# pi/2, n_max only where the thermal tail it cuts is large, decay_alpha only
+# with a decay, seed only with shots.
+WITNESSES = {
+    "theta_c": ("1.0", {}), "nbar0": ("0.3", {}), "t_pulse": ("20", {}),
+    "eta": ("0.1", {"t_pulse": "20"}), "omega": ("1.2", {"t_pulse": "20"}),
+    "omega_z": ("7.0", {}), "n_max": ("3", {"nbar0": "0.5"}), "shots": ("100", {}),
+    "seed": ("7", {"shots": "100"}), "readout_points": ("40", {}),
+    "readout_span": ("150", {}), "gamma0": ("0.001", {}),
+    "decay_alpha": ("0.5", {"gamma0": "0.001"}), "n_fit": ("9", {}),
+    "init_fidelity": ("0.99", {"theta_c": "1.0"}), "detection_epsilon": ("0.01", {}),
+    "cool_nbar": ("0.2", {}),
+    "nbar_min": ("0.1", {}), "nbar_max": ("1.0", {}), "nbar_points": ("3", {}),
+    "theta_min": ("0.1", {}), "theta_max": ("3.0", {}), "theta_points": ("5", {}),
+}
+
+# Every (command, key) a command takes, but seed where no shots are drawn:
+# every command takes it so that one seed flag serves them all.
+TAKEN_KEYS = [(command, key) for command, keys in COMMAND_KEYS.items() for key in keys
+              if key != "seed" or "shots" in keys]
+
+
+def flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
+@functools.lru_cache(maxsize=None)
+def _stdout(argv):
+    """Exit code and stdout after the provenance line of one CLI run."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = parse_and_dispatch(list(argv))
+    return code, out.getvalue().partition("\n")[2]
+
+
+def differs_beyond_roundoff(a, b):
+    """Whether two outputs differ in a word, or in a number by more than
+    1e-12 (relative, or absolute near zero)."""
+    words_a, words_b = re.findall(r"[^\s,=]+", a), re.findall(r"[^\s,=]+", b)
+    if len(words_a) != len(words_b):
+        return True
+    for x, y in zip(words_a, words_b):
+        try:
+            if not math.isclose(float(x), float(y), rel_tol=1e-12, abs_tol=1e-12):
+                return True
+        except ValueError:
+            if x != y:
+                return True
+    return False
 
 
 def run_cli(argv, capsys):
@@ -106,6 +161,13 @@ class TestVerify:
         assert "nbar" in err and "Traceback" not in err
         assert out == ""
 
+    def test_subnormal_occupation_verifies(self, capsys):
+        # 1/nbar0 overflows; the temperature must not collapse to 0
+        code, out, err = run_cli(["verify", "--nbar0", "1e-310"], capsys)
+        assert code == 0, err
+        assert float(summary_value(out, "temperature_t0")) > 0.0
+        assert summary_value(out, "verified") == "yes"
+
     def test_high_occupation_verifies(self, capsys):
         code, out, _ = run_cli(["verify", "--nbar0", "2000"], capsys)
         assert code == 0
@@ -148,6 +210,10 @@ class TestArgumentValidation:
         ["verify", "--nbar-min", "1"],
         ["crossings", "--shots", "7"],
         ["readout", "--omega-z", "1"],
+        *([command, "--phi", "0.9"] for command in COMMAND_KEYS),
+        *([command, f"--{key}", "0.1"] for command in ("sweep-temp", "sweep-theta", "crossings")
+          for key in ("eta", "omega")),
+        ["sweep-temp", "--init-fidelity", "0.9"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -192,6 +258,14 @@ class TestConfigFile:
         path.write_text("nbar0 = 0.1\nthis is not a pair\n", encoding="utf-8")
         with pytest.raises(CliError, match=r"bad\.cfg:2"):
             parse_config_file(str(path))
+
+    def test_phase_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "phase.cfg"
+        path.write_text("phi = 0.2\n", encoding="utf-8")
+        code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+        assert code == 1
+        assert "unknown config key 'phi'" in err
+        assert out == ""
 
     def test_unknown_key_reports_name_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -243,6 +317,16 @@ class TestProvenance:
         assert code == 0
         assert with_file == plain
 
+
+    @pytest.mark.parametrize("command, key", TAKEN_KEYS)
+    def test_every_taken_key_can_change_output(self, command, key):
+        value, context = WITNESSES[key]
+        argv = [command] + [arg for other, text in context.items()
+                            if other in COMMAND_KEYS[command] for arg in (flag(other), text)]
+        base_code, base = _stdout(tuple(argv))
+        code, changed = _stdout(tuple(argv + [flag(key), value]))
+        assert base_code in (0, 2) and code in (0, 2)
+        assert differs_beyond_roundoff(base, changed), argv + [flag(key), value]
 
     def test_readme_key_table_matches_command_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -382,6 +466,34 @@ class TestReadoutAndRun:
         fitted = float(summary_value(out, "fitted_mean_phonon"))
         exact = float(summary_value(out, "exact_mean_phonon"))
         assert abs(fitted - exact) < 1e-3
+
+    @pytest.mark.parametrize("alpha", ["300", "1000"])
+    def test_decay_exponent_without_decay_changes_nothing(self, alpha, capsys):
+        # gamma0 defaults to 0; (n+1)^alpha overflowing must not turn 0 into NaN
+        code, plain, _ = run_cli(["readout"], capsys)
+        assert code == 0
+        code, out, err = run_cli(["readout", "--decay-alpha", alpha], capsys)
+        assert code == 0, err
+        assert out.partition("\n")[2] == plain.partition("\n")[2]
+
+    def test_non_finite_decay_envelope_names_keys(self, capsys):
+        code, out, err = run_cli(["readout", "--gamma0", "0.001", "--decay-alpha", "1000"],
+                                 capsys)
+        assert code == 1
+        assert "gamma0" in err and "decay_alpha" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_readout_arrays_above_limit_name_key(self, capsys, monkeypatch):
+        import qlandauer.protocol as protocol_mod
+
+        def no_erasure(config):
+            raise AssertionError("erasure ran before the readout size check")
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        code, out, err = run_cli(["readout", "--readout-points", "400000000"], capsys)
+        assert code == 1
+        assert "readout_points = 400000000" in err and "limit" in err
+        assert out == ""
 
     def test_zero_temperature_readout_matches_exact(self, capsys):
         # |down,1> is bright under the blue readout only if |up,2> is retained

@@ -42,9 +42,9 @@ def product_state(theta_c, nbar, trunc):
     return dephase_qubit(np.diag([alpha, 1.0 - alpha]), np.exp(thermal_log_weights(nbar, trunc)))
 
 
-def erase(theta_c, nbar, t=T_OP_DEFAULT, phi=0.0):
+def erase(theta_c, nbar, t=T_OP_DEFAULT):
     initial = product_state(theta_c, nbar, FockTruncation.for_nbar(nbar))
-    return initial, evolve(initial, PulseParams(phi=phi), t)
+    return initial, evolve(initial, PulseParams(), t)
 
 
 class TestVonNeumannEntropy:
@@ -173,6 +173,13 @@ class TestTemperatureMap:
         temps = [temperature_from_nbar(n) for n in grid]
         assert all(b > a for a, b in zip(temps, temps[1:]))
 
+    @pytest.mark.parametrize("nbar", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_occupation(self, nbar):
+        # 1/nbar overflows to inf here; T = 1/ln(1 + 1/nbar) = 1/(ln(1 + nbar) - ln nbar)
+        t = temperature_from_nbar(nbar)
+        assert t > 0.0
+        assert abs(t * -math.log(nbar) - 1.0) < 1e-15
+
     def test_zero_occupation_signalled(self):
         with pytest.raises(ZeroTemperatureError):
             temperature_from_nbar(0.0)
@@ -257,16 +264,6 @@ class TestLandauerLedger:
         # D and the 1/T side blow up together as nbar -> 0
         assert ledger.relative_entropy > 5
         assert ledger.lhs > 5
-
-    def test_phase_independence_for_dephased_input(self):
-        ledgers = []
-        for phi in (0.0, math.pi / 3, math.pi):
-            initial, final = erase(math.pi / 2, 0.074, phi=phi)
-            ledgers.append(landauer_ledger(initial, final, 0.074))
-        for field in ("delta_q", "lhs", "delta_s", "mutual_info",
-                      "relative_entropy", "rhs", "residual"):
-            values = [getattr(ledger, field) for ledger in ledgers]
-            assert max(values) - min(values) < 1e-10
 
     def test_truncation_mismatch_rejected(self):
         a = product_state(1.0, 0.1, FockTruncation(4))

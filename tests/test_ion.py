@@ -45,11 +45,13 @@ def basis_state(trunc, qubit, n):
 
 
 def random_joint_state(rng, trunc):
-    """Random qubit and Fock populations, then a red pulse of random length
-    and phase: every population and red coherence is generic."""
+    """Random qubit and Fock populations, a red pulse of random length, then
+    a random phase on every red coherence (the pulse alone leaves them
+    imaginary): every population and red coherence is generic."""
     product = dephase_qubit(np.diag(rng.dirichlet(np.ones(2))), rng.dirichlet(np.ones(trunc.dim)))
-    pulse = PulseParams(phi=float(rng.uniform(-math.pi, math.pi)))
-    return evolve(product, pulse, float(rng.uniform(0.0, 100.0)))
+    phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    pulsed = evolve(product, PulseParams(), float(rng.uniform(0.0, 100.0)))
+    return JointState(pulsed.populations, pulsed.red_coherences * phase)
 
 
 class TestFockTruncation:
@@ -188,26 +190,26 @@ class TestDephase:
 
 class TestSidebandHamiltonians:
     def test_red_matrix_element_with_phase(self):
-        phi = 0.7
-        p = PulseParams(phi=phi)
+        # the drive carries no phase: the element is real and positive
+        p = PulseParams()
         trunc = FockTruncation(3)
         h = red_sideband_hamiltonian(p, trunc)
         down1 = basis_state(trunc, 0, 1)
         up0 = basis_state(trunc, 1, 0)
         element = down1.conj() @ h @ up0
-        expected = p.eta * p.omega * np.exp(-1j * phi) / 2
-        assert abs(element - expected) < 1e-14
+        assert element.imag == 0.0
+        assert abs(element - p.eta * p.omega / 2) < 1e-14
 
     def test_blue_matrix_element_with_phase(self):
-        phi = -1.2
-        p = PulseParams(phi=phi)
+        # the drive carries no phase: the element is real and positive
+        p = PulseParams()
         trunc = FockTruncation(3)
         h = blue_sideband_hamiltonian(p, trunc)
         up1 = basis_state(trunc, 1, 1)
         down0 = basis_state(trunc, 0, 0)
         element = up1.conj() @ h @ down0
-        expected = p.eta * p.omega * np.exp(-1j * phi) / 2
-        assert abs(element - expected) < 1e-14
+        assert element.imag == 0.0
+        assert abs(element - p.eta * p.omega / 2) < 1e-14
 
     def test_dark_states(self):
         p = PulseParams()
@@ -220,7 +222,7 @@ class TestSidebandHamiltonians:
         assert np.max(np.abs(h_blue @ basis_state(trunc, 0, trunc.n_max))) == 0.0
 
     def test_hermiticity(self):
-        p = PulseParams(phi=0.3)
+        p = PulseParams()
         for kind in (red_sideband_hamiltonian, blue_sideband_hamiltonian):
             h = kind(p, FockTruncation(6))
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
@@ -264,8 +266,8 @@ class TestJcBlockUnitary:
             p = PulseParams(
                 eta=float(rng.uniform(0.02, 0.3)),
                 omega=float(rng.uniform(0.2, 3.0)),
-                phi=float(rng.uniform(-math.pi, math.pi)),
             )
+            rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
             t = float(rng.uniform(0.0, 120.0))
             trunc = FockTruncation(int(rng.integers(1, 9)))
             for kind, builder in (
@@ -303,7 +305,7 @@ class TestEvolve:
     def test_identity(self):
         rng = np.random.default_rng(12)
         rho = random_joint_state(rng, FockTruncation(3))
-        out = evolve(rho, PulseParams(phi=0.4), 0.0)
+        out = evolve(rho, PulseParams(), 0.0)
         np.testing.assert_allclose(out.populations, rho.populations, atol=1e-15)
         np.testing.assert_allclose(out.red_coherences, rho.red_coherences, atol=1e-15)
 
@@ -317,13 +319,13 @@ class TestEvolve:
         assert abs(np.sum(rho.spectrum**2) - np.sum(out.spectrum**2)) < 1e-12
 
     def test_matches_dense_conjugation(self):
-        # coherent inputs, random phase and length: U rho U† with the dense unitary
+        # coherent inputs, random calibration and length: U rho U† with the dense unitary
         rng = np.random.default_rng(14)
         for _ in range(20):
             trunc = FockTruncation(int(rng.integers(1, 9)))
             rho = random_joint_state(rng, trunc)
-            p = PulseParams(eta=float(rng.uniform(0.02, 0.3)), omega=float(rng.uniform(0.2, 3.0)),
-                            phi=float(rng.uniform(-math.pi, math.pi)))
+            p = PulseParams(eta=float(rng.uniform(0.02, 0.3)), omega=float(rng.uniform(0.2, 3.0)))
+            rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
             t = float(rng.uniform(0.0, 120.0))
             u = jc_block_unitary("red", p, trunc, t)
             np.testing.assert_allclose(dense_matrix(evolve(rho, p, t)),

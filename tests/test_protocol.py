@@ -9,6 +9,7 @@ from qlandauer.info import temperature_from_nbar, von_neumann_entropy
 from qlandauer.ion import thermal_state
 from qlandauer.linalg import kron
 from qlandauer.protocol import (
+    READOUT_CELLS_LIMIT,
     REALISTIC_IMPERFECTIONS,
     ExperimentConfig,
     Imperfections,
@@ -266,6 +267,27 @@ class TestSimulatedReadout:
             base = fit_phonon_populations(times, clean, DEFAULT.pulse, n_fit)
             perturbed = fit_phonon_populations(times, flipped, DEFAULT.pulse, n_fit)
             assert np.max(np.abs(base.populations - perturbed.populations)) < 0.01
+
+    @pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)])
+    def test_readout_array_limit(self, extra, accepted, monkeypatch):
+        import qlandauer.protocol as protocol_mod
+
+        class ErasureReached(Exception):
+            pass
+
+        def no_erasure(config):
+            raise ErasureReached
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        # n_max 9 and n_fit 8 give readout arrays of readout_points * 10 values
+        cfg = dataclasses.replace(
+            DEFAULT, n_max=9, readout_points=READOUT_CELLS_LIMIT // 10 + extra)
+        if accepted:
+            with pytest.raises(ErasureReached):
+                simulated_readout_run(cfg)
+        else:
+            with pytest.raises(ValueError, match="readout_points = 1000001 .* above the limit"):
+                simulated_readout_run(cfg)
 
     def test_model_error_reported(self):
         row = simulated_readout_run(DEFAULT)
