@@ -59,8 +59,6 @@ CONFIG_KEYS = {
     "seed": int,
     "readout_points": int,
     "readout_span": float,
-    "gamma0": float,
-    "decay_alpha": float,
     "n_fit": int,
     "init_fidelity": float,
     "detection_epsilon": float,
@@ -82,8 +80,7 @@ CONFIG_KEYS = {
 _ERASURE_KEYS = ("n_max", "init_fidelity", "cool_nbar", "seed")
 _PULSE_KEYS = ("eta", "omega")
 _READOUT_KEYS = ("theta_c", "nbar0", "t_pulse", "shots", "readout_points", "readout_span",
-                 "gamma0", "decay_alpha", "n_fit", "detection_epsilon",
-                 *_PULSE_KEYS, *_ERASURE_KEYS)
+                 "n_fit", "detection_epsilon", *_PULSE_KEYS, *_ERASURE_KEYS)
 COMMAND_KEYS = {
     "verify": ("theta_c", "nbar0", "t_pulse", "omega_z") + _PULSE_KEYS + _ERASURE_KEYS,
     "sweep-temp": ("nbar_min", "nbar_max", "nbar_points", "n_max", "cool_nbar", "seed"),

@@ -3,9 +3,11 @@
 A blue-sideband pulse of variable length maps phonon populations onto the
 qubit excitation probability; the populations are then recovered from the
 time trace by least squares over the probability simplex, with the sideband
-frequencies eta*Omega*sqrt(n+1) held fixed (calibrated, not fitted).  A
-trace is a plain array of qubit-down probabilities, one per readout time;
-the caller holds the times and passes them to each function that needs them.
+frequencies eta*Omega*sqrt(n+1) and the detection error held fixed
+(calibrated, not fitted); a trace that cannot identify the populations is
+refused.  A trace is a plain array of qubit-down probabilities, one per
+readout time; the caller holds the times and passes them to each function
+that needs them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .ion import JointState, PulseParams, sideband_half_angles
 FIT_MAX_ITERATIONS = 100_000
 FIT_OBJECTIVE_TOL = 1e-14
 FIT_DISPLACEMENT_TOL = 1e-11
+# Largest condition number of the fit's design matrix: beyond it the Gram
+# matrix the fit works on is singular to double precision.
+FIT_CONDITION_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -64,19 +69,15 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def model_trace(populations, p: PulseParams, times, gamma0: float = 0.0,
-                alpha: float = 0.7) -> np.ndarray:
+def model_trace(populations, p: PulseParams, times) -> np.ndarray:
     """Incoherent-sum model trace for a qubit starting in |down>:
 
-        p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t) e^{-gamma_n t}] / 2
-
-    with per-level decay gamma_n = gamma0 * (n+1)^alpha; gamma0 = 0 means
-    no decay at any alpha.
+        p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t)] / 2
     """
     pops = np.asarray(populations, dtype=float)
     if np.any(pops < -1e-12) or abs(pops.sum() - 1.0) > 1e-9:
         raise ValueError("populations must be a probability vector")
-    a = _design_matrix(len(pops) - 1, p, times, gamma0, alpha)
+    a = _design_matrix(len(pops) - 1, p, times)
     return np.clip(a @ pops, 0.0, 1.0)
 
 
@@ -95,13 +96,47 @@ def detection_flip(p_down: np.ndarray, epsilon: float) -> np.ndarray:
     return (1.0 - epsilon) * p_down + epsilon * (1.0 - p_down)
 
 
+def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -> np.ndarray:
+    """The fit's design matrix, refused unless it identifies n_fit + 1 populations.
+
+    Row k, column n is the down probability of Fock level n at times[k] as
+    detected with symmetric misclassification epsilon:
+    A_eps = eps + (1 - 2 eps) A, with A the model_trace matrix (A_0 = A bit
+    for bit).  The fit works on the Gram matrix A_eps^T A_eps, whose
+    condition number is the square of A_eps's; once sigma_max / sigma_min of
+    A_eps exceeds FIT_CONDITION_LIMIT = 1/sqrt(machine eps) the Gram matrix
+    is numerically singular and the fitted populations are not unique.  A
+    trace with fewer times than populations is rank deficient outright.
+    Either case raises ValueError naming n_fit, the point count, the span
+    and the condition number.
+    """
+    times = np.asarray(times, dtype=float)
+    n_points = len(times)
+    where = (f"a fit of n_fit = {n_fit} is not identifiable from readout_points = {n_points} "
+             f"over readout_span = {np.max(times, initial=0.0):.6g} us")
+    if n_points < n_fit + 1:
+        raise ValueError(
+            f"{where}: readout_points = {n_points} is fewer than n_fit + 1 = {n_fit + 1} "
+            f"(condition number inf); raise readout_points or lower n_fit")
+    a = epsilon + (1.0 - 2.0 * epsilon) * _design_matrix(n_fit, p, times)
+    singular = np.linalg.svd(a, compute_uv=False)
+    condition = singular[0] / singular[-1] if singular[-1] > 0 else math.inf
+    if not condition <= FIT_CONDITION_LIMIT:
+        raise ValueError(
+            f"{where}: the design matrix has condition number {condition:.3g}, above "
+            f"{FIT_CONDITION_LIMIT:.3g}, so the sideband frequencies of levels 0..n_fit "
+            f"are not resolved; raise readout_points or readout_span, or lower n_fit")
+    return a
+
+
 def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
-                           gamma0: float = 0.0, alpha: float = 0.7) -> PhononFit:
+                           epsilon: float = 0.0) -> PhononFit:
     """Least-squares phonon populations over the probability simplex.
 
-    Minimizes ||model(p_vec) - p_down||_2 over the trace taken at ``times``,
-    subject to p_n >= 0, sum p_n = 1, via projected gradient descent (fixed
-    step 1/L, no momentum) on the fixed cosine design matrix.
+    Minimizes ||A_eps p_vec - p_down||_2 over the trace taken at ``times``,
+    with A_eps from fit_design_matrix (``epsilon`` the detection error the
+    trace carries), subject to p_n >= 0, sum p_n = 1, via projected gradient
+    descent (fixed step 1/L, no momentum).
     The problem is a small convex QP.  The solver converges once a step both
     improves the objective by less than FIT_OBJECTIVE_TOL and moves every
     population by less than FIT_DISPLACEMENT_TOL; after FIT_MAX_ITERATIONS
@@ -114,11 +149,7 @@ def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
         raise ValueError(f"times and p_down differ in shape: {times.shape} and {p_down.shape}")
     if n_fit < 1:
         raise ValueError(f"n_fit must be >= 1, got {n_fit}")
-    if len(times) < n_fit + 1:
-        raise ValueError(
-            f"trace has {len(times)} points, fewer than n_fit + 1 = {n_fit + 1}"
-        )
-    a = _design_matrix(n_fit, p, times, gamma0, alpha)
+    a = fit_design_matrix(n_fit, p, times, epsilon)
     pops, converged = _simplex_least_squares(a, p_down)
     resid = a @ pops - p_down
     return PhononFit(
@@ -129,18 +160,10 @@ def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
     )
 
 
-def _design_matrix(n_fit: int, p: PulseParams, times: np.ndarray,
-                   gamma0: float, alpha: float) -> np.ndarray:
+def _design_matrix(n_fit: int, p: PulseParams, times: np.ndarray) -> np.ndarray:
     t = np.asarray(times, dtype=float)[:, None]
     angles = 2.0 * sideband_half_angles(p, n_fit + 1, t)
-    if gamma0 == 0:
-        return (1.0 + np.cos(angles)) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(-gamma0 * (np.arange(n_fit + 1) + 1.0) ** alpha * t)
-    if not np.isfinite(envelope).all():
-        raise ValueError(f"gamma0 = {gamma0} and decay_alpha = {alpha} give a non-finite "
-                         f"decay envelope gamma0 * (n+1)^decay_alpha * t")
-    return (1.0 + np.cos(angles) * envelope) / 2.0
+    return (1.0 + np.cos(angles)) / 2.0
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -81,6 +81,29 @@ def test_equality_at_automatic_truncation(theta, nbar0, t_factor, fidelity, phi)
     assert ledger.lhs >= ledger.delta_s - 1e-12  # Landauer bound
 
 
+@settings(max_examples=150)
+@given(theta=st.floats(0.0, math.pi), nbar0=st.floats(1e-3, 20.0), t_factor=st.floats(0.0, 3.0))
+def test_reeb_wolf_finite_size_bound(theta, nbar0, t_factor):
+    """beta dQ >= dS + 2 dS^2 / (ln^2(d - 1) + 4), d the reservoir dimension
+    (Reeb & Wolf, NJP 16, 103011, 2014).  Its conditions: the system and a
+    d-level reservoir start uncorrelated, the reservoir in its Gibbs state,
+    and evolve unitarily.  The erasure meets them with d = n_max + 1: the
+    dephased qubit starts in a product with the renormalized truncated Gibbs
+    state, and the red sideband acts unitarily on the retained levels.  Only
+    erasures, dS >= 0, are drawn: the bound is the finite-size sharpening of
+    Landauer's for an entropy decrease."""
+    cfg = experiment(theta, nbar0, t_factor, 1.0)
+    ledger, initial, _ = run_erasure(cfg)
+    assume(ledger.delta_s >= 0)
+    np.testing.assert_array_equal(initial.red_coherences, 0.0)
+    np.testing.assert_allclose(
+        initial.populations, np.outer(initial.reduced_qubit(), initial.reduced_fock()),
+        rtol=0, atol=1e-15)
+    d = cfg.truncation().n_max + 1
+    bound = ledger.delta_s + 2.0 * ledger.delta_s**2 / (math.log(d - 1) ** 2 + 4.0)
+    assert ledger.lhs >= bound - 1e-12
+
+
 @st.composite
 def block_arrays(draw):
     """Populations and red coherences of a unit-trace block state, n_max

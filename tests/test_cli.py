@@ -25,7 +25,7 @@ FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 NON_DEFAULT = {
     "theta_c": 1.0, "nbar0": 0.3, "eta": 0.1, "omega": 1.0, "t_pulse": 10.0,
     "omega_z": 7.0, "n_max": 40, "shots": 7, "seed": 11, "readout_points": 40,
-    "readout_span": 150.0, "gamma0": 0.001, "decay_alpha": 0.5, "n_fit": 9,
+    "readout_span": 150.0, "n_fit": 9,
     "init_fidelity": 0.99, "detection_epsilon": 0.001, "cool_nbar": 0.01,
     "nbar_min": 0.1, "nbar_max": 1.0, "nbar_points": 3,
     "theta_min": 0.1, "theta_max": 3.0, "theta_points": 5,
@@ -34,15 +34,14 @@ NON_DEFAULT = {
 # For each key, a value that changes the output of every command taking it,
 # and the other keys (set where a command takes them) it needs for that:
 # eta and omega act only off the pi pulse, init_fidelity only off theta_c =
-# pi/2, n_max only where the thermal tail it cuts is large, decay_alpha only
-# with a decay, seed only with shots.
+# pi/2, n_max only where the thermal tail it cuts is large, seed only with
+# shots.
 WITNESSES = {
     "theta_c": ("1.0", {}), "nbar0": ("0.3", {}), "t_pulse": ("20", {}),
     "eta": ("0.1", {"t_pulse": "20"}), "omega": ("1.2", {"t_pulse": "20"}),
     "omega_z": ("7.0", {}), "n_max": ("3", {"nbar0": "0.5"}), "shots": ("100", {}),
     "seed": ("7", {"shots": "100"}), "readout_points": ("40", {}),
-    "readout_span": ("150", {}), "gamma0": ("0.001", {}),
-    "decay_alpha": ("0.5", {"gamma0": "0.001"}), "n_fit": ("9", {}),
+    "readout_span": ("150", {}), "n_fit": ("9", {}),
     "init_fidelity": ("0.99", {"theta_c": "1.0"}), "detection_epsilon": ("0.01", {}),
     "cool_nbar": ("0.2", {}),
     "nbar_min": ("0.1", {}), "nbar_max": ("1.0", {}), "nbar_points": ("3", {}),
@@ -467,22 +466,6 @@ class TestReadoutAndRun:
         exact = float(summary_value(out, "exact_mean_phonon"))
         assert abs(fitted - exact) < 1e-3
 
-    @pytest.mark.parametrize("alpha", ["300", "1000"])
-    def test_decay_exponent_without_decay_changes_nothing(self, alpha, capsys):
-        # gamma0 defaults to 0; (n+1)^alpha overflowing must not turn 0 into NaN
-        code, plain, _ = run_cli(["readout"], capsys)
-        assert code == 0
-        code, out, err = run_cli(["readout", "--decay-alpha", alpha], capsys)
-        assert code == 0, err
-        assert out.partition("\n")[2] == plain.partition("\n")[2]
-
-    def test_non_finite_decay_envelope_names_keys(self, capsys):
-        code, out, err = run_cli(["readout", "--gamma0", "0.001", "--decay-alpha", "1000"],
-                                 capsys)
-        assert code == 1
-        assert "gamma0" in err and "decay_alpha" in err and "Traceback" not in err
-        assert out == ""
-
     def test_readout_arrays_above_limit_name_key(self, capsys, monkeypatch):
         import qlandauer.protocol as protocol_mod
 
@@ -534,6 +517,24 @@ class TestReadoutAndRun:
         code, _, err = run_cli(["readout", "--nbar0", "5"], capsys)
         assert code == 1
         assert "n_fit" in err and "readout_points" in err
+
+    def test_unidentifiable_fit_rejected_before_erasure(self, capsys, monkeypatch):
+        # at the default 30 points over 6 t_op the design matrix's condition
+        # number is 265 at n_fit 20 (the post-erasure fit at nbar0 3) and
+        # 5e16 at n_fit 29 (at nbar0 4.8)
+        code, out, err = run_cli(["readout", "--nbar0", "3"], capsys)
+        assert code == 0, err
+        assert summary_value(out, "fit_converged") == "yes"
+        import qlandauer.protocol as protocol_mod
+
+        def no_erasure(config):
+            raise AssertionError("erasure ran before the readout check")
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        code, out, err = run_cli(["readout", "--nbar0", "4.8"], capsys)
+        assert code == 1
+        assert "condition number" in err and "n_fit = 29" in err and "readout_points" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command", ["readout", "run"])
     def test_defaults_report_tail_mass(self, command, capsys):

@@ -119,7 +119,7 @@ class TestRunErasure:
         # non-finite values are named wherever they sit in the config
         for changes, key in (
             ({"nbar0": math.nan}, "nbar0"),
-            ({"decay_alpha": -math.inf}, "decay_alpha"),
+            ({"readout_span": math.inf}, "readout_span"),
             ({"t_pulse": math.inf}, "t_pulse"),
             ({"imperfections": Imperfections(cool_nbar=math.nan)}, "cool_nbar"),
         ):
@@ -242,6 +242,13 @@ class TestSimulatedReadout:
             row = simulated_readout_run(dataclasses.replace(DEFAULT, nbar0=nbar))
             assert abs(row.fitted_mean_phonon - row.exact_mean_phonon) < 1e-3
             assert abs(row.fitted_mean_phonon_pre - row.exact_mean_phonon_pre) < 1e-3
+
+    def test_noiseless_realistic_round_trip(self):
+        # the fit models the detection error the data carries
+        row = simulated_readout_run(
+            dataclasses.replace(DEFAULT, imperfections=REALISTIC_IMPERFECTIONS))
+        assert abs(row.fitted_mean_phonon - row.exact_mean_phonon) < 1e-4
+        assert abs(row.fitted_mean_phonon_pre - row.exact_mean_phonon_pre) < 1e-4
 
     def test_heat_estimate_monte_carlo(self):
         ledger, _, _ = run_erasure(DEFAULT)

@@ -17,6 +17,7 @@ from qlandauer.readout import (
     default_n_fit,
     detection_flip,
     exact_trace,
+    fit_design_matrix,
     fit_phonon_populations,
     model_trace,
     project_to_simplex,
@@ -52,7 +53,7 @@ class TestExactTrace:
         pops = thermal_populations(0.4)
         state = down_fock_state(pops)
         exact = exact_trace(state, PULSE, TIMES)
-        modeled = model_trace(pops, PULSE, TIMES, gamma0=0.0)
+        modeled = model_trace(pops, PULSE, TIMES)
         np.testing.assert_allclose(exact, modeled, atol=1e-12)
 
     def test_matches_dense_reference_on_random_states(self):
@@ -83,12 +84,12 @@ class TestExactTrace:
 
 class TestModelTrace:
     def test_ground_population_only(self):
-        p_down = model_trace([1.0], PULSE, TIMES, gamma0=0.0)
+        p_down = model_trace([1.0], PULSE, TIMES)
         expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
         np.testing.assert_allclose(p_down, expected, atol=1e-14)
 
     def test_starts_at_one(self):
-        assert model_trace([0.2, 0.5, 0.3], PULSE, TIMES, gamma0=0.012)[0] == 1.0
+        assert model_trace([0.2, 0.5, 0.3], PULSE, TIMES)[0] == 1.0
 
     def test_thermal_beating_against_direct_sum(self):
         # independent oracle: explicit loop over levels at one time point
@@ -98,29 +99,8 @@ class TestModelTrace:
             p * (1 + math.cos(PULSE.eta * PULSE.omega * math.sqrt(n + 1) * t)) / 2
             for n, p in enumerate(pops)
         )
-        p_down = model_trace(pops, PULSE, [0.0, t], gamma0=0.0)
+        p_down = model_trace(pops, PULSE, [0.0, t])
         assert abs(p_down[1] - expected) < 1e-12
-
-    def test_decay_envelope(self):
-        gamma0, alpha, t = 0.02, 0.7, 40.0
-        p_down = model_trace([0.0, 1.0], PULSE, [0.0, t], gamma0=gamma0, alpha=alpha)
-        freq = PULSE.eta * PULSE.omega * math.sqrt(2)
-        expected = (1 + math.cos(freq * t) * math.exp(-gamma0 * 2**alpha * t)) / 2
-        assert abs(p_down[1] - expected) < 1e-12
-
-    @pytest.mark.parametrize("alpha", [300.0, 1000.0])
-    def test_zero_decay_at_any_exponent(self, alpha):
-        # (n+1)^alpha overflows at these exponents; gamma0 = 0 is still no decay
-        pops = thermal_populations(0.5)
-        np.testing.assert_array_equal(model_trace(pops, PULSE, TIMES, gamma0=0.0, alpha=alpha),
-                                      model_trace(pops, PULSE, TIMES, gamma0=0.0))
-
-    def test_non_finite_envelope_names_keys(self):
-        with pytest.raises(ValueError, match="gamma0 = 0.001 and decay_alpha = 1000"):
-            model_trace(thermal_populations(0.5), PULSE, TIMES, gamma0=0.001, alpha=1000.0)
-        # a finite envelope that underflows to zero is a valid, fully decayed trace
-        p_down = model_trace([0.0, 1.0], PULSE, TIMES, gamma0=0.001, alpha=300.0)
-        np.testing.assert_array_equal(p_down, np.where(TIMES == 0, 1.0, 0.5))
 
     def test_invalid_populations_rejected(self):
         with pytest.raises(ValueError, match="probability"):
@@ -216,17 +196,38 @@ class TestFit:
         assert abs(fit.mean_phonon
                    - np.dot(np.arange(9), fit.populations)) < 1e-12
 
-    def test_decay_parameters_echoed(self):
-        p_down = model_trace([1.0], PULSE, TIMES, gamma0=0.01, alpha=0.7)
-        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=2, gamma0=0.01, alpha=0.7)
-        assert abs(fit.populations[0] - 1.0) < 1e-6
-
     def test_short_trace_rejected(self):
         p_down = model_trace([1.0], PULSE, TIMES[:4])
         with pytest.raises(ValueError, match="fewer than"):
             fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=4)
         with pytest.raises(ValueError, match="n_fit"):
             fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=0)
+
+    def test_rank_deficient_trace_rejected(self):
+        # 30 equal times make every row of the design matrix the same
+        times = np.full(30, 50.0)
+        p_down = model_trace([0.5, 0.5], PULSE, times)
+        with pytest.raises(ValueError, match="n_fit = 2 .* condition number"):
+            fit_phonon_populations(times, p_down, PULSE, n_fit=2)
+
+    def test_condition_limit_at_default_readout(self):
+        # 30 points over 6 t_op resolve the sideband frequencies of levels
+        # 0..22: condition number 1.8e6 at n_fit 22, 1.7e10 at 23
+        fit_design_matrix(22, PULSE, TIMES)
+        with pytest.raises(ValueError, match="n_fit = 23 .* condition number 1.67e"):
+            fit_design_matrix(23, PULSE, TIMES)
+
+    def test_design_matrix_without_detection_error_is_the_model(self):
+        columns = [model_trace(np.eye(9)[n], PULSE, TIMES) for n in range(9)]
+        np.testing.assert_array_equal(fit_design_matrix(8, PULSE, TIMES),
+                                      np.column_stack(columns))
+
+    def test_detection_error_fitted_exactly(self):
+        pops = thermal_populations(0.5)[:9]
+        pops /= pops.sum()
+        flipped = detection_flip(model_trace(pops, PULSE, TIMES), 0.0022)
+        fit = fit_phonon_populations(TIMES, flipped, PULSE, n_fit=8, epsilon=0.0022)
+        np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_length_mismatch_names_arrays(self):
         p_down = model_trace([1.0], PULSE, TIMES[:4])
