@@ -466,6 +466,21 @@ class TestReadoutAndRun:
         exact = float(summary_value(out, "exact_mean_phonon"))
         assert abs(fitted - exact) < 1e-3
 
+    def test_non_finite_decay_envelope_names_keys(self, tmp_path, capsys):
+        # the decay-envelope keys are gone: as flags or in a config file they
+        # are refused by name before anything runs
+        code, out, err = run_cli(["readout", "--gamma0", "0.001", "--decay-alpha", "1000"],
+                                 capsys)
+        assert code == 1
+        assert "--gamma0" in err and "--decay-alpha" in err and "Traceback" not in err
+        assert out == ""
+        path = tmp_path / "decay.cfg"
+        path.write_text("decay_alpha = 1000\n", encoding="utf-8")
+        code, out, err = run_cli(["readout", "--config", str(path)], capsys)
+        assert code == 1
+        assert "unknown config key 'decay_alpha'" in err
+        assert out == ""
+
     def test_readout_arrays_above_limit_name_key(self, capsys, monkeypatch):
         import qlandauer.protocol as protocol_mod
 

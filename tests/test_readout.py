@@ -102,6 +102,27 @@ class TestModelTrace:
         p_down = model_trace(pops, PULSE, [0.0, t])
         assert abs(p_down[1] - expected) < 1e-12
 
+    def test_decay_envelope(self):
+        # the model has no decay envelope, like the data exact_trace simulates:
+        # a Fock level keeps full contrast at late times
+        t = 40.0
+        p_down = model_trace([0.0, 1.0], PULSE, [0.0, t])
+        freq = PULSE.eta * PULSE.omega * math.sqrt(2)
+        expected = (1 + math.cos(freq * t)) / 2
+        assert abs(p_down[1] - expected) < 1e-12
+        exact = exact_trace(down_fock_state([0.0, 1.0, 0.0]), PULSE, [0.0, t])
+        assert abs(p_down[1] - exact[1]) < 1e-12
+
+    @pytest.mark.parametrize("t_late", [300.0, 1000.0])
+    def test_zero_decay_at_any_exponent(self, t_late):
+        # no decay exponent enters the model: long after the readout span it
+        # still equals the undamped trace of the state it describes
+        pops = thermal_populations(0.5)
+        times = t_late + np.linspace(0.0, PULSE.t_op, 30)
+        np.testing.assert_allclose(model_trace(pops, PULSE, times),
+                                   exact_trace(down_fock_state(pops), PULSE, times),
+                                   rtol=0, atol=1e-12)
+
     def test_invalid_populations_rejected(self):
         with pytest.raises(ValueError, match="probability"):
             model_trace([0.5, 0.2], PULSE, TIMES)
@@ -195,6 +216,12 @@ class TestFit:
         assert abs(fit.populations.sum() - 1.0) < 1e-9
         assert abs(fit.mean_phonon
                    - np.dot(np.arange(9), fit.populations)) < 1e-12
+
+    def test_decay_parameters_echoed(self):
+        # the fit takes no decay parameters: an undamped trace is fitted as is
+        p_down = model_trace([1.0], PULSE, TIMES)
+        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=2)
+        assert abs(fit.populations[0] - 1.0) < 1e-6
 
     def test_short_trace_rejected(self):
         p_down = model_trace([1.0], PULSE, TIMES[:4])
