@@ -6,9 +6,9 @@ then command-line overrides, in that precedence; a file may set any key, a
 subcommand takes and hashes only the keys it reads, and each of those can
 change its output (seed only where shots are drawn).  Exit codes: 0 success,
 1 validation error (an output file that cannot be written included), 2
-numerical failure (a failed equality check, a truncation check failed by
-verify, readout or run, or a non-converged fit under readout or run); a
-failed check still writes the output.
+numerical failure (a failed equality or heat-conservation check, a
+truncation check failed by verify, readout or run, or a non-converged fit
+under readout or run); a failed check still writes the output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .info import LandauerLedger, UnitSystem
+from .info import UnitSystem
 from .ion import TRUNCATION_TAIL_TOL, PulseParams
 from .protocol import (
     NBAR_GRID_DEFAULT,
@@ -30,7 +30,6 @@ from .protocol import (
     ExperimentConfig,
     Imperfections,
     find_entropy_zero_crossings,
-    format_ledger_summary,
     format_sweep_table,
     run_erasure,
     simulated_readout_run,
@@ -211,62 +210,74 @@ def _emit(text: str, output_path: str | None) -> None:
         raise CliError(f"cannot write output file {output_path}: {exc.strerror}") from exc
 
 
-def _check_truncation(config: ExperimentConfig, failures: list[str]) -> str:
-    """The truncation_tail_mass line (thermal mass beyond n_max); a tail above
-    TRUNCATION_TAIL_TOL is added to ``failures``.  The renormalised Gibbs
-    state makes the equality exact at any n_max, so the residual cannot show
-    a short one."""
+def _check_truncation(config: ExperimentConfig, failures: list[str]) -> float:
+    """The thermal mass beyond n_max; a tail above TRUNCATION_TAIL_TOL is
+    added to ``failures``.  The renormalised Gibbs state makes the equality
+    exact at any n_max, so the residual cannot show a short one."""
     trunc = config.truncation()
     tail = trunc.tail_mass(config.effective_nbar0)
     if tail > TRUNCATION_TAIL_TOL:
         failures.append(f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
                         f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
-    return f"truncation_tail_mass = {tail!r}\n"
+    return tail
+
+
+def _summary(provenance: str, pairs) -> str:
+    """The structured output: the provenance line, then one ``key = value``
+    line per pair; None prints as divergent, a string as it is, anything
+    else as its repr."""
+    lines = [provenance]
+    for key, value in pairs:
+        text = "divergent" if value is None else value if isinstance(value, str) else repr(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _ledger_pairs(config: ExperimentConfig, values: dict, terms, e_initial: float,
+                  e_final: float, *after_residual) -> list:
+    """The ledger block of verify and run: the erasure's settings, its
+    energies and heat, the equality terms of ``terms`` (a LandauerLedger or
+    SweepRow), the pairs ``after_residual``, then the Q0/T0 quantities in
+    joules and microkelvin."""
+    units = UnitSystem(values["omega_z"])
+    delta_q = e_final - e_initial
+    temperature = terms.temperature
+    return [
+        ("theta_c", config.theta_c), ("nbar0", config.effective_nbar0),
+        ("pulse_duration_us", config.erasure_time), ("eta", config.pulse.eta),
+        ("omega_rad_per_us", config.pulse.omega), ("n_max", config.truncation().n_max),
+        ("e_initial_q0", e_initial), ("e_final_q0", e_final), ("delta_q_q0", delta_q),
+        ("temperature_t0", temperature), ("lhs", terms.lhs),
+        ("delta_s_nats", terms.delta_s), ("mutual_info_nats", terms.mutual_info),
+        ("relative_entropy_nats", terms.relative_entropy), ("rhs", terms.rhs),
+        ("residual", terms.residual), *after_residual,
+        ("q0_joule", units.q0_joule), ("t0_micro_kelvin", units.t0_kelvin * 1e6),
+        ("temperature_micro_kelvin",
+         None if temperature is None else temperature * units.t0_kelvin * 1e6),
+        ("delta_q_joule", delta_q * units.q0_joule),
+    ]
 
 
 def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
-    ledger, _, _ = run_erasure(config)
+    """One erasure's ledger, checked two ways: the equality residual, and the
+    heat against the conservation law.  The red sideband conserves
+    n + |up><up| (|up,n_max> is dark, so truncation keeps that), hence
+    delta_q = P_up - P'_up exactly, with no entropy code involved."""
+    ledger, initial, final = run_erasure(config)
     if not ledger.divergent and not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
         failures.append(
             f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
-    text = format_ledger_summary(ledger, config, provenance_line("verify", values),
-                                 units=UnitSystem(values["omega_z"]))
-    text += _check_truncation(config, failures)
+    heat_residual = float(ledger.delta_q - (initial.reduced_qubit()[1]
+                                            - final.reduced_qubit()[1]))
+    if not abs(heat_residual) < VERIFY_RESIDUAL_BOUND:
+        failures.append(f"heat conservation residual {heat_residual:.3e} exceeds "
+                        f"{VERIFY_RESIDUAL_BOUND}")
+    pairs = _ledger_pairs(config, values, ledger, ledger.e_initial, ledger.e_final,
+                          ("heat_conservation_residual", heat_residual))
+    tail = _check_truncation(config, failures)
     verdict = "divergent" if ledger.divergent else "no" if failures else "yes"
-    return text + f"verified = {verdict}\n"
-
-
-def _run_summary(row, config: ExperimentConfig, values: dict) -> str:
-    # The row carries every ledger term of its erasure; e_initial and e_final
-    # are the exact pre- and post-erasure mean phonon numbers.
-    ledger = LandauerLedger(
-        delta_q=row.exact_mean_phonon - row.exact_mean_phonon_pre,
-        e_initial=row.exact_mean_phonon_pre,
-        e_final=row.exact_mean_phonon,
-        **{key: getattr(row, key) for key in ("temperature", "lhs", "delta_s", "mutual_info",
-                                              "relative_entropy", "rhs", "residual")},
-    )
-    text = format_ledger_summary(ledger, config, provenance_line("run", values),
-                                 units=UnitSystem(values["omega_z"]))
-    return text + (
-        f"exact_mean_phonon_pre = {row.exact_mean_phonon_pre!r}\n"
-        f"fitted_mean_phonon_pre = {row.fitted_mean_phonon_pre!r}\n"
-        f"exact_mean_phonon_post = {row.exact_mean_phonon!r}\n"
-        f"fitted_mean_phonon_post = {row.fitted_mean_phonon!r}\n"
-        f"delta_q_estimate_q0 = {row.delta_q_estimate!r}\n"
-        f"readout_model_error = {row.readout_model_error!r}\n"
-        f"shots = {config.shots!r}\n"
-    )
-
-
-def _readout_summary(row, values: dict) -> str:
-    lines = [provenance_line("readout", values)]
-    for name in ("value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
-                 "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
-                 "readout_model_error"):
-        val = getattr(row, name)
-        lines.append(f"{name} = {'divergent' if val is None else repr(float(val))}")
-    return "\n".join(lines) + "\n"
+    return _summary(provenance_line("verify", values),
+                    [*pairs, ("truncation_tail_mass", tail), ("verified", verdict)])
 
 
 def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
@@ -275,12 +286,28 @@ def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
     row = simulated_readout_run(config)
     if not row.fit_converged:
         failures.append("phonon fit hit the iteration cap without converging")
-    tail_line = _check_truncation(config, failures)
+    tail = _check_truncation(config, failures)
+    provenance = provenance_line(command, values)
     if fmt == "table":
-        return format_sweep_table([row], provenance_line(command, values))
-    text = (_run_summary(row, config, values) if command == "run"
-            else _readout_summary(row, values))
-    return text + f"fit_converged = {'yes' if row.fit_converged else 'no'}\n" + tail_line
+        return format_sweep_table([row], provenance)
+    if command == "run":
+        # The row carries every ledger term of its erasure; its exact mean
+        # phonon numbers are the pre- and post-erasure energies.
+        pairs = [*_ledger_pairs(config, values, row, row.exact_mean_phonon_pre,
+                                row.exact_mean_phonon),
+                 ("exact_mean_phonon_pre", row.exact_mean_phonon_pre),
+                 ("fitted_mean_phonon_pre", row.fitted_mean_phonon_pre),
+                 ("exact_mean_phonon_post", row.exact_mean_phonon),
+                 ("fitted_mean_phonon_post", row.fitted_mean_phonon),
+                 ("delta_q_estimate_q0", row.delta_q_estimate),
+                 ("readout_model_error", row.readout_model_error), ("shots", config.shots)]
+    else:
+        pairs = [(name, getattr(row, name)) for name in (
+            "value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
+            "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
+            "readout_model_error")]
+    return _summary(provenance, [*pairs, ("fit_converged", "yes" if row.fit_converged else "no"),
+                                 ("truncation_tail_mass", tail)])
 
 
 def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
@@ -297,13 +324,10 @@ def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
 
 def _cmd_crossings(config: ExperimentConfig, values: dict) -> str:
     theta_low, theta_high = find_entropy_zero_crossings(config)
-    lines = [
-        provenance_line("crossings", values),
-        f"nbar0 = {config.effective_nbar0!r}",
-        f"theta_low = {'absent' if theta_low is None else repr(theta_low)}",
-        f"theta_high = {'absent' if theta_high is None else repr(theta_high)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _summary(provenance_line("crossings", values), [
+        ("nbar0", config.effective_nbar0),
+        ("theta_low", "absent" if theta_low is None else theta_low),
+        ("theta_high", "absent" if theta_high is None else theta_high)])
 
 
 def parse_and_dispatch(argv: list[str]) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import LandauerLedger, UnitSystem, landauer_ledger, temperature_from_nbar
+from .info import LandauerLedger, landauer_ledger, temperature_from_nbar
 from .ion import (
     N_MAX_FLOOR,
     FockTruncation,
@@ -366,43 +366,3 @@ def parse_sweep_table(text: str) -> tuple[str, list[SweepRow]]:
         rows.append(SweepRow(**kwargs))
     return provenance, rows
 
-
-def format_ledger_summary(ledger: LandauerLedger, config: ExperimentConfig,
-                          provenance: str,
-                          units: UnitSystem | None = None) -> str:
-    """Self-describing structured-text summary of one run's ledger.
-
-    With a UnitSystem the dimensionless Q0/T0 quantities are also shown in
-    joules and microkelvin.
-    """
-
-    def fmt(value) -> str:
-        return "divergent" if value is None else repr(float(value))
-
-    lines = [
-        provenance,
-        f"theta_c = {config.theta_c!r}",
-        f"nbar0 = {config.effective_nbar0!r}",
-        f"pulse_duration_us = {config.erasure_time!r}",
-        f"eta = {config.pulse.eta!r}",
-        f"omega_rad_per_us = {config.pulse.omega!r}",
-        f"n_max = {config.truncation().n_max!r}",
-        f"e_initial_q0 = {fmt(ledger.e_initial)}",
-        f"e_final_q0 = {fmt(ledger.e_final)}",
-        f"delta_q_q0 = {fmt(ledger.delta_q)}",
-        f"temperature_t0 = {fmt(ledger.temperature)}",
-        f"lhs = {fmt(ledger.lhs)}",
-        f"delta_s_nats = {fmt(ledger.delta_s)}",
-        f"mutual_info_nats = {fmt(ledger.mutual_info)}",
-        f"relative_entropy_nats = {fmt(ledger.relative_entropy)}",
-        f"rhs = {fmt(ledger.rhs)}",
-        f"residual = {fmt(ledger.residual)}",
-    ]
-    if units is not None:
-        lines.append(f"q0_joule = {units.q0_joule!r}")
-        lines.append(f"t0_micro_kelvin = {units.t0_kelvin * 1e6!r}")
-        temp_uk = None if ledger.temperature is None \
-            else ledger.temperature * units.t0_kelvin * 1e6
-        lines.append(f"temperature_micro_kelvin = {fmt(temp_uk)}")
-        lines.append(f"delta_q_joule = {ledger.delta_q * units.q0_joule!r}")
-    return "\n".join(lines) + "\n"

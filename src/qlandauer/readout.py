@@ -107,13 +107,19 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
     A_eps exceeds FIT_CONDITION_LIMIT = 1/sqrt(machine eps) the Gram matrix
     is numerically singular and the fitted populations are not unique.  A
     trace with fewer times than populations is rank deficient outright.
-    Either case raises ValueError naming n_fit, the point count, the span
+    At epsilon = 1/2 A_eps is the constant 1/2: the detector carries no
+    information and no trace identifies anything.  Each case raises
+    ValueError naming n_fit, the point count, the span, detection_epsilon
     and the condition number.
     """
     times = np.asarray(times, dtype=float)
     n_points = len(times)
     where = (f"a fit of n_fit = {n_fit} is not identifiable from readout_points = {n_points} "
-             f"over readout_span = {np.max(times, initial=0.0):.6g} us")
+             f"over readout_span = {np.max(times, initial=0.0):.6g} us at detection_epsilon = "
+             f"{epsilon:g}")
+    if epsilon == 0.5:
+        raise ValueError(f"{where}: every level then reads down with probability 1/2, so the "
+                         f"detector carries no information (condition number inf)")
     if n_points < n_fit + 1:
         raise ValueError(
             f"{where}: readout_points = {n_points} is fewer than n_fit + 1 = {n_fit + 1} "

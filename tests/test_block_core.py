@@ -104,6 +104,18 @@ def test_reeb_wolf_finite_size_bound(theta, nbar0, t_factor):
     assert ledger.lhs >= bound - 1e-12
 
 
+@settings(max_examples=150)
+@given(nbar0=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+       n_max=st.one_of(st.none(), st.integers(2, 60)), **EXPERIMENTS)
+def test_heat_equals_qubit_excitation_lost(theta, nbar0, t_factor, fidelity, phi, n_max):
+    """The red sideband conserves n + |up><up|, and truncation keeps that
+    because |up,n_max> is dark: dQ = P_up - P'_up at any pulse length,
+    preparation and truncation."""
+    ledger, initial, final = run_erasure(experiment(theta, nbar0, t_factor, fidelity, n_max))
+    lost = initial.reduced_qubit()[1] - final.reduced_qubit()[1]
+    assert abs(ledger.delta_q - lost) <= 1e-12
+
+
 @st.composite
 def block_arrays(draw):
     """Populations and red coherences of a unit-trace block state, n_max

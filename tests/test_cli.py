@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import math
@@ -89,6 +90,11 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def summary_keys(text):
+    """The keys of a structured output, in order, after its provenance line."""
+    return [line.split(" = ", 1)[0] for line in text.splitlines()[1:]]
+
+
 def summary_value(text, key):
     for line in text.splitlines():
         if line.startswith(f"{key} = "):
@@ -102,6 +108,26 @@ class TestVerify:
         assert code == 0
         assert summary_value(out, "verified") == "yes"
         assert abs(float(summary_value(out, "residual"))) < 1e-9
+        assert abs(float(summary_value(out, "heat_conservation_residual"))) < 1e-12
+
+    def test_heat_off_the_conservation_law_fails(self, capsys, monkeypatch):
+        # a heat 1e-6 off the conservation law, with the equality residual
+        # left as it was: only the heat check can see it
+        import qlandauer.cli as cli_mod
+
+        original = cli_mod.run_erasure
+
+        def heat_off(config):
+            ledger, initial, final = original(config)
+            return dataclasses.replace(ledger, delta_q=ledger.delta_q + 1e-6), initial, final
+
+        monkeypatch.setattr(cli_mod, "run_erasure", heat_off)
+        code, out, err = run_cli(["verify"], capsys)
+        assert code == 2
+        assert abs(float(summary_value(out, "residual"))) < 1e-9
+        assert float(summary_value(out, "heat_conservation_residual")) == pytest.approx(1e-6)
+        assert summary_value(out, "verified") == "no"
+        assert "heat conservation residual" in err and "equality" not in err
 
     def test_negative_nbar_names_key(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "-1"], capsys)
@@ -396,6 +422,46 @@ class TestSweepCommands:
         assert "nbar" in err
 
 
+LEDGER_KEYS = [
+    "theta_c", "nbar0", "pulse_duration_us", "eta", "omega_rad_per_us", "n_max",
+    "e_initial_q0", "e_final_q0", "delta_q_q0", "temperature_t0", "lhs", "delta_s_nats",
+    "mutual_info_nats", "relative_entropy_nats", "rhs", "residual",
+]
+UNIT_KEYS = ["q0_joule", "t0_micro_kelvin", "temperature_micro_kelvin", "delta_q_joule"]
+RUN_KEYS = LEDGER_KEYS + UNIT_KEYS + [
+    "exact_mean_phonon_pre", "fitted_mean_phonon_pre", "exact_mean_phonon_post",
+    "fitted_mean_phonon_post", "delta_q_estimate_q0", "readout_model_error", "shots",
+    "fit_converged", "truncation_tail_mass",
+]
+
+
+class TestOutputKeys:
+    @pytest.mark.parametrize("argv, keys", [
+        (["verify"], LEDGER_KEYS + ["heat_conservation_residual"] + UNIT_KEYS
+         + ["truncation_tail_mass", "verified"]),
+        (["run", "--shots", "100"], RUN_KEYS),
+        (["run", "--nbar0", "0"], RUN_KEYS),
+        (["readout", "--shots", "100"], [
+            "value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
+            "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
+            "readout_model_error", "fit_converged", "truncation_tail_mass"]),
+        (["crossings"], ["nbar0", "theta_low", "theta_high"]),
+    ])
+    def test_structured_keys_in_order(self, argv, keys, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.startswith(f"# qlandauer {argv[0]} config=")
+        assert summary_keys(out) == keys
+
+    def test_divergent_run_terms(self, capsys):
+        code, out, _ = run_cli(["run", "--nbar0", "0"], capsys)
+        assert code == 0
+        for key in ("temperature_t0", "lhs", "relative_entropy_nats", "rhs", "residual",
+                    "temperature_micro_kelvin"):
+            assert summary_value(out, key) == "divergent"
+        assert float(summary_value(out, "delta_q_q0")) == pytest.approx(0.5, abs=1e-12)
+
+
 class TestCrossingsCommand:
     def test_reports_boundaries(self, capsys):
         code, out, _ = run_cli(["crossings"], capsys)
@@ -549,6 +615,22 @@ class TestReadoutAndRun:
         code, out, err = run_cli(["readout", "--nbar0", "4.8"], capsys)
         assert code == 1
         assert "condition number" in err and "n_fit = 29" in err and "readout_points" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["readout", "run"])
+    def test_uninformative_detector_rejected_before_erasure(self, command, capsys,
+                                                            monkeypatch):
+        # at detection_epsilon 1/2 every level reads down with probability 1/2
+        import qlandauer.protocol as protocol_mod
+
+        def no_erasure(config):
+            raise AssertionError("erasure ran before the readout check")
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        code, out, err = run_cli([command, "--detection-epsilon", "0.5"], capsys)
+        assert code == 1
+        assert "detection_epsilon = 0.5" in err and "no information" in err
+        assert "raise readout_points" not in err and "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("command", ["readout", "run"])

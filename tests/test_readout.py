@@ -244,6 +244,13 @@ class TestFit:
         with pytest.raises(ValueError, match="n_fit = 23 .* condition number 1.67e"):
             fit_design_matrix(23, PULSE, TIMES)
 
+    def test_half_detection_error_identifies_nothing(self):
+        with pytest.raises(ValueError, match="detection_epsilon = 0.5: .* no information"):
+            fit_design_matrix(1, PULSE, TIMES, 0.5)
+        with pytest.raises(ValueError, match="n_fit = 23 .* detection_epsilon = 0.4: .* "
+                                             "condition number"):
+            fit_design_matrix(23, PULSE, TIMES, 0.4)
+
     def test_design_matrix_without_detection_error_is_the_model(self):
         columns = [model_trace(np.eye(9)[n], PULSE, TIMES) for n in range(9)]
         np.testing.assert_array_equal(fit_design_matrix(8, PULSE, TIMES),
