@@ -35,6 +35,7 @@ from .readout import (
     default_n_fit,
     detection_flip,
     exact_trace,
+    fit_design_matrix,
     fit_phonon_populations,
     model_trace,
     sample_shots,

@@ -266,14 +266,15 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
     Runs the erasure, then probes the pre-erasure and post-erasure reservoir
     states with blue-sideband traces (readout preparation resets the qubit
-    to |down> without disturbing the reservoir), optionally applies detection
-    error and shot noise, and fits both traces on the probability simplex.
+    to |down> without disturbing the reservoir), applies detection error and
+    optionally shot noise, and fits both traces on the probability simplex.
     Reports fitted vs exact mean phonon numbers, the heat estimate from the
     fits, and the worst-case deviation of the down-only readout model from
     the exact post-erasure trace (residual up population and correlations).
     A config whose readout arrays exceed READOUT_CELLS_LIMIT, or whose trace
-    cannot identify either fit's n_fit + 1 populations (fit_design_matrix),
-    is rejected before the erasure runs.
+    cannot identify the larger fit's n_fit + 1 populations, is rejected
+    before the erasure runs; that check (fit_design_matrix) builds the one
+    design matrix both fits use, each on its leading n_fit + 1 columns.
     """
     nbar = config.effective_nbar0
     n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
@@ -289,18 +290,16 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     eps = config.imperfections.detection_epsilon
     # The smaller fit's design matrix is a column subset of the larger one's,
     # so by singular-value interlacing its condition number is no larger.
-    fit_design_matrix(n_fit_max, config.pulse, times, eps)
+    a = fit_design_matrix(n_fit_max, config.pulse, times, eps)
 
     ledger, initial, final = run_erasure(config)
 
     def probe(state: JointState, n_fit: int, seed: int):
         reset = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
-        p_down = exact_trace(reset, config.pulse, times)
-        if eps > 0:
-            p_down = detection_flip(p_down, eps)
+        p_down = detection_flip(exact_trace(reset, config.pulse, times), eps)
         if config.shots > 0:
             p_down = sample_shots(p_down, config.shots, seed)
-        return fit_phonon_populations(times, p_down, config.pulse, n_fit, eps)
+        return fit_phonon_populations(a[:, :n_fit + 1], p_down)
 
     fit_pre = probe(initial, n_fit_pre, config.seed)
     fit_post = probe(final, n_fit_post, config.seed + 1)

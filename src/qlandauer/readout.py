@@ -4,10 +4,10 @@ A blue-sideband pulse of variable length maps phonon populations onto the
 qubit excitation probability; the populations are then recovered from the
 time trace by least squares over the probability simplex, with the sideband
 frequencies eta*Omega*sqrt(n+1) and the detection error held fixed
-(calibrated, not fitted); a trace that cannot identify the populations is
-refused.  A trace is a plain array of qubit-down probabilities, one per
-readout time; the caller holds the times and passes them to each function
-that needs them.
+(calibrated, not fitted).  fit_design_matrix builds the design matrix and
+refuses one that cannot identify the populations; fit_phonon_populations
+solves on the matrix it is given.  A trace is a plain array of qubit-down
+probabilities, one per readout time; the caller holds the times.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class PhononFit:
     populations: np.ndarray     # p_0 .. p_{n_fit}, on the simplex
     mean_phonon: float
     residual_norm: float        # RMS of model - data
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self):
         pops = np.array(self.populations, dtype=float)
@@ -110,8 +110,10 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
     At epsilon = 1/2 A_eps is the constant 1/2: the detector carries no
     information and no trace identifies anything.  Each case raises
     ValueError naming n_fit, the point count, the span, detection_epsilon
-    and the condition number.
+    and the condition number; an n_fit below 1 is refused first.
     """
+    if n_fit < 1:
+        raise ValueError(f"n_fit must be >= 1, got {n_fit}")
     times = np.asarray(times, dtype=float)
     n_points = len(times)
     where = (f"a fit of n_fit = {n_fit} is not identifiable from readout_points = {n_points} "
@@ -135,32 +137,26 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
     return a
 
 
-def fit_phonon_populations(times, p_down, p: PulseParams, n_fit: int,
-                           epsilon: float = 0.0) -> PhononFit:
+def fit_phonon_populations(a: np.ndarray, p_down) -> PhononFit:
     """Least-squares phonon populations over the probability simplex.
 
-    Minimizes ||A_eps p_vec - p_down||_2 over the trace taken at ``times``,
-    with A_eps from fit_design_matrix (``epsilon`` the detection error the
-    trace carries), subject to p_n >= 0, sum p_n = 1, via projected gradient
-    descent (fixed step 1/L, no momentum).
+    Minimizes ||a p_vec - p_down||_2 subject to p_n >= 0, sum p_n = 1, via
+    projected gradient descent (fixed step 1/L, no momentum), with ``a`` (a
+    row per time, a column per level 0..n_fit) checked by fit_design_matrix.
     The problem is a small convex QP.  The solver converges once a step both
     improves the objective by less than FIT_OBJECTIVE_TOL and moves every
     population by less than FIT_DISPLACEMENT_TOL; after FIT_MAX_ITERATIONS
     steps without that, the result is flagged non-converged and carries the
     last iterate.  Neither rule certifies optimality.
     """
-    times = np.asarray(times, dtype=float)
     p_down = np.asarray(p_down, dtype=float)
-    if times.shape != p_down.shape:
-        raise ValueError(f"times and p_down differ in shape: {times.shape} and {p_down.shape}")
-    if n_fit < 1:
-        raise ValueError(f"n_fit must be >= 1, got {n_fit}")
-    a = fit_design_matrix(n_fit, p, times, epsilon)
+    if p_down.shape != a.shape[:1]:
+        raise ValueError(f"a has {len(a)} rows but p_down has shape {p_down.shape}")
     pops, converged = _simplex_least_squares(a, p_down)
     resid = a @ pops - p_down
     return PhononFit(
         populations=pops,
-        mean_phonon=float(np.dot(np.arange(n_fit + 1), pops)),
+        mean_phonon=float(np.dot(np.arange(a.shape[1]), pops)),
         residual_norm=float(np.sqrt(np.mean(resid**2))),
         converged=converged,
     )

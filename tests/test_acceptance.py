@@ -20,7 +20,8 @@ from qlandauer.protocol import (
     find_entropy_zero_crossings,
     run_erasure,
 )
-from qlandauer.readout import fit_phonon_populations, model_trace, sample_shots
+from qlandauer.readout import (
+    fit_design_matrix, fit_phonon_populations, model_trace, sample_shots)
 
 DEFAULT = ExperimentConfig()
 
@@ -123,11 +124,12 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
 
     # noiseless: any 4-support distribution returns within 1e-6 elementwise
     rng = np.random.default_rng(123)
+    a = fit_design_matrix(4, pulse, times)
     worst = 0.0
     for _ in range(25):
         pops = np.append(rng.dirichlet(np.ones(4)), 0.0)
         p_down = model_trace(pops, pulse, times)
-        fit = fit_phonon_populations(times, p_down, pulse, n_fit=4)
+        fit = fit_phonon_populations(a, p_down)
         worst = max(worst, float(np.max(np.abs(fit.populations - pops))))
     round_trip_ok = worst < 1e-6
 
@@ -140,10 +142,11 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
     pops /= pops.sum()
     truth = float(np.dot(np.arange(len(pops)), pops))
     clean = model_trace(pops, pulse, times)
+    a = fit_design_matrix(3, pulse, times)
     estimates = []
     for seed in range(50):
         noisy = sample_shots(clean, 100, seed)
-        estimates.append(fit_phonon_populations(times, noisy, pulse, n_fit=3).mean_phonon)
+        estimates.append(fit_phonon_populations(a, noisy).mean_phonon)
     bias = abs(float(np.mean(estimates)) - truth)
     spread = float(np.std(estimates))
     elapsed = time.perf_counter() - start

@@ -601,21 +601,29 @@ class TestReadoutAndRun:
 
     def test_unidentifiable_fit_rejected_before_erasure(self, capsys, monkeypatch):
         # at the default 30 points over 6 t_op the design matrix's condition
-        # number is 265 at n_fit 20 (the post-erasure fit at nbar0 3) and
-        # 5e16 at n_fit 29 (at nbar0 4.8)
+        # number is 265 at n_fit 20 (the post-erasure fit at nbar0 3), 1.67e10
+        # at n_fit 23 (at nbar0 3.5, whose pre-erasure n_fit 18 alone would
+        # pass) and 5e16 at n_fit 29 (at nbar0 4.8)
         code, out, err = run_cli(["readout", "--nbar0", "3"], capsys)
         assert code == 0, err
         assert summary_value(out, "fit_converged") == "yes"
         import qlandauer.protocol as protocol_mod
+        import qlandauer.readout as readout_mod
 
         def no_erasure(config):
             raise AssertionError("erasure ran before the readout check")
 
+        def no_fit(a, y):
+            raise AssertionError("a fit ran on a refused design matrix")
+
         monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
-        code, out, err = run_cli(["readout", "--nbar0", "4.8"], capsys)
-        assert code == 1
-        assert "condition number" in err and "n_fit = 29" in err and "readout_points" in err
-        assert out == ""
+        monkeypatch.setattr(readout_mod, "_simplex_least_squares", no_fit)
+        for nbar0, n_fit in (("3.5", 23), ("4.8", 29)):
+            code, out, err = run_cli(["readout", "--nbar0", nbar0], capsys)
+            assert code == 1
+            assert "condition number" in err and "readout_points" in err
+            assert f"n_fit = {n_fit} " in err
+            assert out == ""
 
     @pytest.mark.parametrize("command", ["readout", "run"])
     def test_uninformative_detector_rejected_before_erasure(self, command, capsys,

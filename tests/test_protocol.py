@@ -262,7 +262,8 @@ class TestSimulatedReadout:
     def test_detection_error_perturbs_populations_weakly(self):
         from qlandauer.ion import dephase_qubit
         from qlandauer.readout import (
-            default_n_fit, detection_flip, exact_trace, fit_phonon_populations)
+            default_n_fit, detection_flip, exact_trace, fit_design_matrix,
+            fit_phonon_populations)
 
         _, initial, final = run_erasure(DEFAULT)
         times = DEFAULT.readout_times()
@@ -270,9 +271,9 @@ class TestSimulatedReadout:
             probe = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
             clean = exact_trace(probe, DEFAULT.pulse, times)
             flipped = detection_flip(clean, 0.0022)
-            n_fit = default_n_fit(expected_nbar)
-            base = fit_phonon_populations(times, clean, DEFAULT.pulse, n_fit)
-            perturbed = fit_phonon_populations(times, flipped, DEFAULT.pulse, n_fit)
+            a = fit_design_matrix(default_n_fit(expected_nbar), DEFAULT.pulse, times)
+            base = fit_phonon_populations(a, clean)
+            perturbed = fit_phonon_populations(a, flipped)
             assert np.max(np.abs(base.populations - perturbed.populations)) < 0.01
 
     @pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)])
@@ -305,6 +306,25 @@ class TestSimulatedReadout:
         assert simulated_readout_run(cfg) == simulated_readout_run(cfg)
         other = simulated_readout_run(dataclasses.replace(cfg, seed=78))
         assert other.fitted_mean_phonon != simulated_readout_run(cfg).fitted_mean_phonon
+
+    def test_design_matrix_built_and_checked_once(self, monkeypatch):
+        import qlandauer.readout as readout_mod
+
+        calls = {"svd": 0, "build": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(readout_mod, "_design_matrix",
+                            counted("build", readout_mod._design_matrix))
+        simulated_readout_run(ExperimentConfig(shots=100))
+        # the pre-erasure check builds the matrix both fits slice; model_trace
+        # builds the second, for the model-error estimate
+        assert calls == {"svd": 1, "build": 2}
 
 
 class TestDefaultGrids:

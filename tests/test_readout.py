@@ -171,7 +171,7 @@ class TestDetectionFlip:
 class TestFit:
     def test_round_trip_two_level(self):
         p_down = model_trace([0.9, 0.1], PULSE, TIMES)
-        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=3)
+        fit = fit_phonon_populations(fit_design_matrix(3, PULSE, TIMES), p_down)
         np.testing.assert_allclose(fit.populations, [0.9, 0.1, 0.0, 0.0], atol=1e-6)
         assert fit.converged
         assert fit.residual_norm < 1e-8
@@ -179,7 +179,8 @@ class TestFit:
     def test_round_trip_thermal_mean(self):
         pops = thermal_populations(0.5)
         times = np.linspace(0.0, 200.0, 60)
-        fit = fit_phonon_populations(times, model_trace(pops, PULSE, times), PULSE, n_fit=12)
+        fit = fit_phonon_populations(fit_design_matrix(12, PULSE, times),
+                                     model_trace(pops, PULSE, times))
         truth = float(np.dot(np.arange(len(pops)), pops))
         assert abs(fit.mean_phonon - truth) < 1e-4
 
@@ -190,7 +191,7 @@ class TestFit:
             pops = np.zeros(int(rng.integers(support, 10)))
             pops[:support] = rng.dirichlet(np.ones(support))
             p_down = model_trace(pops, PULSE, TIMES)
-            fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=len(pops) - 1)
+            fit = fit_phonon_populations(fit_design_matrix(len(pops) - 1, PULSE, TIMES), p_down)
             np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_noisy_monte_carlo_recovery(self):
@@ -200,10 +201,11 @@ class TestFit:
         truth = float(np.dot(np.arange(len(pops)), pops))
         times = np.linspace(0.0, 200.0, 30)
         clean = model_trace(pops, PULSE, times)
+        a = fit_design_matrix(4, PULSE, times)
         estimates = []
         for seed in range(50):
             noisy = sample_shots(clean, 100, seed)
-            fit = fit_phonon_populations(times, noisy, PULSE, n_fit=4)
+            fit = fit_phonon_populations(a, noisy)
             estimates.append(fit.mean_phonon)
         assert abs(np.mean(estimates) - truth) < 0.05
         assert np.std(estimates) < 0.1
@@ -211,7 +213,7 @@ class TestFit:
     def test_simplex_hard_constraint_under_noise(self):
         clean = model_trace(thermal_populations(0.2), PULSE, TIMES)
         noisy = sample_shots(clean, 20, seed=3)
-        fit = fit_phonon_populations(TIMES, noisy, PULSE, n_fit=8)
+        fit = fit_phonon_populations(fit_design_matrix(8, PULSE, TIMES), noisy)
         assert np.all(fit.populations >= 0.0)
         assert abs(fit.populations.sum() - 1.0) < 1e-9
         assert abs(fit.mean_phonon
@@ -220,22 +222,20 @@ class TestFit:
     def test_decay_parameters_echoed(self):
         # the fit takes no decay parameters: an undamped trace is fitted as is
         p_down = model_trace([1.0], PULSE, TIMES)
-        fit = fit_phonon_populations(TIMES, p_down, PULSE, n_fit=2)
+        fit = fit_phonon_populations(fit_design_matrix(2, PULSE, TIMES), p_down)
         assert abs(fit.populations[0] - 1.0) < 1e-6
 
     def test_short_trace_rejected(self):
-        p_down = model_trace([1.0], PULSE, TIMES[:4])
         with pytest.raises(ValueError, match="fewer than"):
-            fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=4)
-        with pytest.raises(ValueError, match="n_fit"):
-            fit_phonon_populations(TIMES[:4], p_down, PULSE, n_fit=0)
+            fit_design_matrix(4, PULSE, TIMES[:4])
+        with pytest.raises(ValueError, match="n_fit must be >= 1, got 0"):
+            fit_design_matrix(0, PULSE, TIMES[:4])
 
     def test_rank_deficient_trace_rejected(self):
         # 30 equal times make every row of the design matrix the same
         times = np.full(30, 50.0)
-        p_down = model_trace([0.5, 0.5], PULSE, times)
         with pytest.raises(ValueError, match="n_fit = 2 .* condition number"):
-            fit_phonon_populations(times, p_down, PULSE, n_fit=2)
+            fit_design_matrix(2, PULSE, times)
 
     def test_condition_limit_at_default_readout(self):
         # 30 points over 6 t_op resolve the sideband frequencies of levels
@@ -256,17 +256,22 @@ class TestFit:
         np.testing.assert_array_equal(fit_design_matrix(8, PULSE, TIMES),
                                       np.column_stack(columns))
 
+    def test_leading_columns_are_the_smaller_matrix(self):
+        # what lets one checked matrix serve fits of every smaller n_fit
+        np.testing.assert_array_equal(fit_design_matrix(20, PULSE, TIMES, 0.0022)[:, :9],
+                                      fit_design_matrix(8, PULSE, TIMES, 0.0022))
+
     def test_detection_error_fitted_exactly(self):
         pops = thermal_populations(0.5)[:9]
         pops /= pops.sum()
         flipped = detection_flip(model_trace(pops, PULSE, TIMES), 0.0022)
-        fit = fit_phonon_populations(TIMES, flipped, PULSE, n_fit=8, epsilon=0.0022)
+        fit = fit_phonon_populations(fit_design_matrix(8, PULSE, TIMES, 0.0022), flipped)
         np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_length_mismatch_names_arrays(self):
         p_down = model_trace([1.0], PULSE, TIMES[:4])
-        with pytest.raises(ValueError, match="times and p_down differ in shape"):
-            fit_phonon_populations(TIMES[:5], p_down, PULSE, n_fit=2)
+        with pytest.raises(ValueError, match=r"a has 5 rows but p_down has shape \(4,\)"):
+            fit_phonon_populations(fit_design_matrix(2, PULSE, TIMES[:5]), p_down)
 
     def test_iteration_cap_flags_result(self, monkeypatch):
         import qlandauer.readout as readout_mod
