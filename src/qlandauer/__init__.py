@@ -3,7 +3,8 @@
 Modules: the trapped-ion physical model (ion), information-thermodynamic
 functionals and the erasure-equality ledger (info), the sideband readout
 chain (readout), experiment orchestration (protocol), and the command line
-(cli).  The dense reference the tests compare against (linalg's
+(cli).  The Fock truncation is the int n_max (ion.n_max_for_nbar sizes it
+from nbar).  The dense reference the tests compare against (linalg's
 DensityMatrix, kron and partial_trace; ion.thermal_state and
 ion.jc_block_unitary) is not re-exported here; import it from its module.
 """
@@ -13,10 +14,8 @@ from .ion import (
     OMEGA_DEFAULT,
     OMEGA_Z_DEFAULT,
     T_OP_DEFAULT,
-    FockTruncation,
     JointState,
     PulseParams,
-    carrier_rotation,
     dephase_qubit,
     evolve,
 )

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .info import UnitSystem
-from .ion import TRUNCATION_TAIL_TOL, PulseParams
+from .ion import TRUNCATION_TAIL_TOL, PulseParams, thermal_tail_mass
 from .protocol import (
     NBAR_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
@@ -214,10 +214,10 @@ def _check_truncation(config: ExperimentConfig, failures: list[str]) -> float:
     """The thermal mass beyond n_max; a tail above TRUNCATION_TAIL_TOL is
     added to ``failures``.  The renormalised Gibbs state makes the equality
     exact at any n_max, so the residual cannot show a short one."""
-    trunc = config.truncation()
-    tail = trunc.tail_mass(config.effective_nbar0)
+    n_max = config.truncation()
+    tail = thermal_tail_mass(config.effective_nbar0, n_max)
     if tail > TRUNCATION_TAIL_TOL:
-        failures.append(f"n_max = {trunc.n_max} leaves thermal tail mass {tail:.3e} beyond "
+        failures.append(f"n_max = {n_max} leaves thermal tail mass {tail:.3e} beyond "
                         f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
     return tail
 
@@ -245,7 +245,7 @@ def _ledger_pairs(config: ExperimentConfig, values: dict, terms, e_initial: floa
     return [
         ("theta_c", config.theta_c), ("nbar0", config.effective_nbar0),
         ("pulse_duration_us", config.erasure_time), ("eta", config.pulse.eta),
-        ("omega_rad_per_us", config.pulse.omega), ("n_max", config.truncation().n_max),
+        ("omega_rad_per_us", config.pulse.omega), ("n_max", config.truncation()),
         ("e_initial_q0", e_initial), ("e_final_q0", e_final), ("delta_q_q0", delta_q),
         ("temperature_t0", temperature), ("lhs", terms.lhs),
         ("delta_s_nats", terms.delta_s), ("mutual_info_nats", terms.mutual_info),

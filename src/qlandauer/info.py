@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import OMEGA_Z_DEFAULT, FockTruncation, JointState, thermal_log_weights
+from .ion import OMEGA_Z_DEFAULT, JointState, thermal_log_weights
 
 HBAR_JS = 1.054571817e-34
 KB_J_PER_K = 1.380649e-23
@@ -139,7 +139,7 @@ def landauer_ledger(initial: JointState, final: JointState, nbar0: float) -> Lan
         lhs = delta_q / temperature
         # D(rho'_R || rho_R) with Tr[rho'_R ln rho_R] from the analytic log
         # weights, exact even where the weights underflow double precision.
-        log_ref = thermal_log_weights(nbar0, FockTruncation(initial.n_max))
+        log_ref = thermal_log_weights(nbar0, initial.n_max)
         rel_ent = -von_neumann_entropy(rho_r_f) - float(np.dot(rho_r_f, log_ref))
         rhs = delta_s + mutual + rel_ent
         residual = lhs - rhs

@@ -4,10 +4,11 @@ Units: hbar = 1, frequencies in rad/us, time in us.  Basis ordering is
 qubit-major: index = qubit*(n_max+1) + n, with qubit 0 = |down>, 1 = |up>.
 All operations are pure; states are immutable after construction.
 
-The dephased qubit and the thermal reservoir are diagonal and the red pulse
-rotates 2x2 pairs (|up,n>, |down,n+1>), so JointState holds only those
-entries and the erasure runs in O(n_max).  thermal_state and
-jc_block_unitary build the dense operators the tests use as the reference.
+The truncation is the int n_max, sized from the thermal tail by
+n_max_for_nbar.  The dephased qubit and the thermal reservoir are diagonal
+and the red pulse rotates 2x2 pairs (|up,n>, |down,n+1>), so JointState
+holds only those entries and the erasure runs in O(n_max).  thermal_state
+and jc_block_unitary build the dense operators the tests use as reference.
 """
 
 from __future__ import annotations
@@ -32,47 +33,33 @@ TRUNCATION_TAIL_TOL = 1e-12
 # Smallest automatic truncation, whatever the temperature: the erasure adds
 # up to one phonon, and the blue readout of |down,1> needs |up,2>.
 N_MAX_FLOOR = 2
-# Largest automatic truncation (nbar up to about 36,000): one erasure holds
-# about 177 bytes per level, so it peaks near 180 MB.
+# Largest truncation, automatic or given (nbar up to about 36,000): one
+# erasure holds about 177 bytes per level, so it peaks near 180 MB.
 N_MAX_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Highest retained Fock level of the vibrational mode."""
+def n_max_for_nbar(nbar: float) -> int:
+    """Smallest truncation whose thermal tail beyond n_max is below
+    TRUNCATION_TAIL_TOL: n_max >= ln(TRUNCATION_TAIL_TOL) / ln(nbar / (1 + nbar)),
+    at least N_MAX_FLOOR, and a ValueError above N_MAX_LIMIT.
+    """
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if nbar == 0:
+        return N_MAX_FLOOR
+    q = nbar / (1.0 + nbar)
+    if not q < 1.0:  # also NaN and inf
+        raise ValueError(f"nbar = {nbar} needs infinite n_max: nbar/(1+nbar) rounds to 1")
+    n_max = max(N_MAX_FLOOR, math.ceil(math.log(TRUNCATION_TAIL_TOL) / math.log(q)))
+    if n_max > N_MAX_LIMIT:
+        raise ValueError(f"nbar = {nbar} needs n_max = {n_max}, above the limit {N_MAX_LIMIT}")
+    return n_max
 
-    n_max: int
 
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    @classmethod
-    def for_nbar(cls, nbar: float) -> "FockTruncation":
-        """Smallest truncation whose thermal tail beyond n_max is below
-        TRUNCATION_TAIL_TOL: n_max >= ln(TRUNCATION_TAIL_TOL) / ln(nbar / (1 + nbar)),
-        at least N_MAX_FLOOR, and a ValueError above N_MAX_LIMIT.
-        """
-        if nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {nbar}")
-        if nbar == 0:
-            return cls(N_MAX_FLOOR)
-        q = nbar / (1.0 + nbar)
-        if not q < 1.0:  # also NaN and inf
-            raise ValueError(f"nbar = {nbar} needs infinite n_max: nbar/(1+nbar) rounds to 1")
-        n_max = max(N_MAX_FLOOR, math.ceil(math.log(TRUNCATION_TAIL_TOL) / math.log(q)))
-        if n_max > N_MAX_LIMIT:
-            raise ValueError(f"nbar = {nbar} needs n_max = {n_max}, above the limit {N_MAX_LIMIT}")
-        return cls(n_max)
-
-    def tail_mass(self, nbar: float) -> float:
-        """Thermal probability beyond n_max, sum_{n > n_max} p_n = q^(n_max+1)
-        with q = nbar / (1 + nbar); the truncated state renormalises it away."""
-        return (nbar / (1.0 + nbar)) ** (self.n_max + 1)
+def thermal_tail_mass(nbar: float, n_max: int) -> float:
+    """Thermal probability beyond n_max, sum_{n > n_max} p_n = q^(n_max+1)
+    with q = nbar / (1 + nbar); the truncated state renormalises it away."""
+    return (nbar / (1.0 + nbar)) ** (n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -144,7 +131,7 @@ class JointState:
         return self.populations.sum(axis=0)
 
 
-def thermal_log_weights(nbar: float, trunc: FockTruncation) -> np.ndarray:
+def thermal_log_weights(nbar: float, n_max: int) -> np.ndarray:
     """ln p_n of the truncated, renormalized Gibbs state of the number operator:
     p_n proportional to nbar^n / (1+nbar)^(n+1) for n <= n_max.  Log space
     keeps exact logarithms of weights far below double precision (the
@@ -152,7 +139,7 @@ def thermal_log_weights(nbar: float, trunc: FockTruncation) -> np.ndarray:
     ground state, ln p_0 = 0 and -inf above."""
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    n = np.arange(trunc.dim)
+    n = np.arange(n_max + 1)
     if nbar == 0:
         return np.where(n == 0, 0.0, -np.inf)
     log_w = n * (math.log(nbar) - math.log1p(nbar)) - math.log1p(nbar)
@@ -160,23 +147,16 @@ def thermal_log_weights(nbar: float, trunc: FockTruncation) -> np.ndarray:
     return log_w - (peak + math.log(np.exp(log_w - peak).sum()))
 
 
-def thermal_state(nbar: float, trunc: FockTruncation) -> DensityMatrix:
+def thermal_state(nbar: float, n_max: int) -> DensityMatrix:
     """The truncated Gibbs state of thermal_log_weights as a dense matrix."""
-    return DensityMatrix(np.diag(np.exp(thermal_log_weights(nbar, trunc))))
+    return DensityMatrix(np.diag(np.exp(thermal_log_weights(nbar, n_max))))
 
 
-def carrier_rotation(theta_c: float) -> np.ndarray:
-    """2x2 carrier unitary cos(theta_c/2) I - i sin(theta_c/2) sigma_x."""
-    c = math.cos(theta_c / 2.0)
-    s = math.sin(theta_c / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def dephase_qubit(qubit: np.ndarray, reservoir: np.ndarray) -> JointState:
-    """qubit (x) diag(reservoir) with the blocks coupling the two qubit
-    levels zeroed: the 2x2 qubit's populations times the Fock populations
-    p_0 .. p_{n_max}, no pair coherence."""
-    return JointState(np.outer(np.diagonal(qubit).real, reservoir), np.zeros(len(reservoir) - 1))
+def dephase_qubit(qubit, reservoir) -> JointState:
+    """The dephased qubit with populations (P_down, P_up) = ``qubit`` next to
+    the Fock populations p_0 .. p_{n_max} = ``reservoir``: their product,
+    with no pair coherence."""
+    return JointState(np.outer(qubit, reservoir), np.zeros(len(reservoir) - 1))
 
 
 def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
@@ -185,7 +165,7 @@ def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
     return p.eta * p.omega * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
 
 
-def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation, t: float) -> np.ndarray:
+def jc_block_unitary(kind: str, p: PulseParams, n_max: int, t: float) -> np.ndarray:
     """Closed-form sideband evolution exp(-i H t) for time t as a dense matrix.
 
     The red drive is eta*Omega*(a sigma+ + a† sigma-)/2, the blue drive
@@ -195,8 +175,8 @@ def jc_block_unitary(kind: str, p: PulseParams, trunc: FockTruncation, t: float)
     """
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
-    d, n = trunc.dim, np.arange(trunc.n_max)
-    half_angles = sideband_half_angles(p, trunc.n_max, t)
+    d, n = n_max + 1, np.arange(n_max)
+    half_angles = sideband_half_angles(p, n_max, t)
     # coupled pairs: (|down,n+1>, |up,n>) under red, (|up,n+1>, |down,n>) under blue
     target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
     u = np.eye(2 * d, dtype=complex)

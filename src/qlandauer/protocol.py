@@ -19,12 +19,12 @@ import numpy as np
 from .info import LandauerLedger, landauer_ledger, temperature_from_nbar
 from .ion import (
     N_MAX_FLOOR,
-    FockTruncation,
+    N_MAX_LIMIT,
     JointState,
     PulseParams,
-    carrier_rotation,
     dephase_qubit,
     evolve,
+    n_max_for_nbar,
     thermal_log_weights,
 )
 from .readout import (
@@ -114,8 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"readout_span must be > 0, got {self.readout_span}")
         if self.n_fit is not None and self.n_fit < 1:
             raise ValueError(f"n_fit must be >= 1, got {self.n_fit}")
-        if self.n_max is not None and self.n_max < N_MAX_FLOOR:
-            raise ValueError(f"n_max must be >= {N_MAX_FLOOR}, got {self.n_max}")
+        if self.n_max is not None and not N_MAX_FLOOR <= self.n_max <= N_MAX_LIMIT:
+            raise ValueError(f"n_max must be >= {N_MAX_FLOOR} and <= {N_MAX_LIMIT}, got {self.n_max}")
 
     @property
     def erasure_time(self) -> float:
@@ -127,10 +127,9 @@ class ExperimentConfig:
         """Reservoir occupation actually reached: cooling floor applies."""
         return max(self.nbar0, self.imperfections.cool_nbar)
 
-    def truncation(self) -> FockTruncation:
-        if self.n_max is not None:
-            return FockTruncation(self.n_max)
-        return FockTruncation.for_nbar(self.effective_nbar0)
+    def truncation(self) -> int:
+        """Highest retained Fock level: n_max, or n_max_for_nbar if unset."""
+        return self.n_max if self.n_max is not None else n_max_for_nbar(self.effective_nbar0)
 
     def readout_times(self) -> np.ndarray:
         span = self.readout_span
@@ -171,13 +170,13 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     Returns (ledger, initial joint state, final joint state); the initial
     state is the post-dephasing, pre-pulse product state.
     """
-    trunc = config.truncation()
     nbar = config.effective_nbar0
-
+    # Populations of diag(F, 1 - F) after the carrier rotation; dephasing drops the rest.
     fidelity = config.imperfections.init_fidelity
-    u_c = carrier_rotation(config.theta_c)
-    qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
-    initial = dephase_qubit(qubit, np.exp(thermal_log_weights(nbar, trunc)))
+    c, s = math.cos(config.theta_c / 2.0), math.sin(config.theta_c / 2.0)
+    qubit = [c * fidelity * c + s * (1.0 - fidelity) * s,
+             s * fidelity * s + c * (1.0 - fidelity) * c]
+    initial = dephase_qubit(qubit, np.exp(thermal_log_weights(nbar, config.truncation())))
     final = evolve(initial, config.pulse, config.erasure_time)
     return landauer_ledger(initial, final, nbar), initial, final
 
@@ -280,7 +279,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
     n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
     n_fit_max = max(n_fit_pre, n_fit_post)
-    cells = config.readout_points * (max(config.truncation().n_max, n_fit_max) + 1)
+    cells = config.readout_points * (max(config.truncation(), n_fit_max) + 1)
     if cells > READOUT_CELLS_LIMIT:
         raise ValueError(
             f"readout_points = {config.readout_points} gives readout arrays of {cells} "
@@ -295,7 +294,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     ledger, initial, final = run_erasure(config)
 
     def probe(state: JointState, n_fit: int, seed: int):
-        reset = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
+        reset = dephase_qubit([1.0, 0.0], state.reduced_fock())
         p_down = detection_flip(exact_trace(reset, config.pulse, times), eps)
         if config.shots > 0:
             p_down = sample_shots(p_down, config.shots, seed)

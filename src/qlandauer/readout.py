@@ -75,7 +75,7 @@ def model_trace(populations, p: PulseParams, times) -> np.ndarray:
         p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t)] / 2
     """
     pops = np.asarray(populations, dtype=float)
-    if np.any(pops < -1e-12) or abs(pops.sum() - 1.0) > 1e-9:
+    if not (np.all(pops >= -1e-12) and abs(pops.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("populations must be a probability vector")
     a = _design_matrix(len(pops) - 1, p, times)
     return np.clip(a @ pops, 0.0, 1.0)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlandauer.info import von_neumann_entropy
-from qlandauer.ion import (FockTruncation, PulseParams, carrier_rotation, jc_block_unitary,
-                           thermal_state)
+from qlandauer.ion import PulseParams, jc_block_unitary, thermal_state
 from qlandauer.linalg import DensityMatrix, kron, partial_trace
 
 # rho1 weight tolerated on a zero (or negative roundoff) eigenvalue of rho2
@@ -55,28 +54,35 @@ def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def _sideband_hamiltonian(kind: str, p: PulseParams, trunc: FockTruncation) -> np.ndarray:
-    d = trunc.dim
+def _sideband_hamiltonian(kind: str, p: PulseParams, n_max: int) -> np.ndarray:
+    d = n_max + 1
     h = np.zeros((2 * d, 2 * d), dtype=complex)
-    for n in range(trunc.n_max):
+    for n in range(n_max):
         # red: <down,n+1|H|up,n> = g; blue: <up,n+1|H|down,n> = g
         target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
         h[target, source] = h[source, target] = p.eta * p.omega * math.sqrt(n + 1) / 2.0
     return h
 
 
-def red_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
+def red_sideband_hamiltonian(p: PulseParams, n_max: int) -> np.ndarray:
     """eta*Omega*(a sigma+ + a† sigma-)/2 on the joint space.
 
     |down,0> is dark; |up,n_max> is dark because the truncated raising
     operator annihilates |n_max>.
     """
-    return _sideband_hamiltonian("red", p, trunc)
+    return _sideband_hamiltonian("red", p, n_max)
 
 
-def blue_sideband_hamiltonian(p: PulseParams, trunc: FockTruncation) -> np.ndarray:
+def blue_sideband_hamiltonian(p: PulseParams, n_max: int) -> np.ndarray:
     """eta*Omega*(a sigma- + a† sigma+)/2; |up,0> is dark."""
-    return _sideband_hamiltonian("blue", p, trunc)
+    return _sideband_hamiltonian("blue", p, n_max)
+
+
+def carrier_rotation(theta_c: float) -> np.ndarray:
+    """2x2 carrier unitary cos(theta_c/2) I - i sin(theta_c/2) sigma_x."""
+    c = math.cos(theta_c / 2.0)
+    s = math.sin(theta_c / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -131,13 +137,14 @@ def dense_erasure(config) -> tuple[DensityMatrix, DensityMatrix]:
     """Dense initial and final states of protocol.run_erasure(config): the
     product of the carrier-rotated qubit with the Gibbs state, every block
     coupling the qubit levels zeroed, then conjugated by the red unitary."""
-    trunc = config.truncation()
+    n_max = config.truncation()
+    d = n_max + 1
     fidelity = config.imperfections.init_fidelity
     u_c = carrier_rotation(config.theta_c)
     qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
-    m = kron(qubit, thermal_state(config.effective_nbar0, trunc).matrix)
-    m[:trunc.dim, trunc.dim:] = m[trunc.dim:, :trunc.dim] = 0.0
-    u = jc_block_unitary("red", config.pulse, trunc, config.erasure_time)
+    m = kron(qubit, thermal_state(config.effective_nbar0, n_max).matrix)
+    m[:d, d:] = m[d:, :d] = 0.0
+    u = jc_block_unitary("red", config.pulse, n_max, config.erasure_time)
     return DensityMatrix(m), DensityMatrix(u @ m @ u.conj().T)
 
 
@@ -156,9 +163,9 @@ def dense_ledger(initial: DensityMatrix, final: DensityMatrix, nbar0: float) -> 
 
 def dense_blue_trace(rho: DensityMatrix, p: PulseParams, times) -> np.ndarray:
     """Qubit-down population under the blue sideband, one dense unitary per time."""
-    trunc = FockTruncation(rho.dim // 2 - 1)
+    n_max = rho.dim // 2 - 1
     values = np.empty(len(times))
     for i, t in enumerate(times):
-        down_rows = jc_block_unitary("blue", p, trunc, float(t))[:trunc.dim]
+        down_rows = jc_block_unitary("blue", p, n_max, float(t))[:n_max + 1]
         values[i] = np.einsum("ij,jk,ik->", down_rows, rho.matrix, down_rows.conj()).real
     return values

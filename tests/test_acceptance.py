@@ -14,7 +14,7 @@ import pytest
 from oracle import blue_sideband_hamiltonian, expm_i_hermitian, red_sideband_hamiltonian
 from qlandauer.cli import parse_and_dispatch
 from qlandauer.info import temperature_from_nbar
-from qlandauer.ion import FockTruncation, PulseParams, jc_block_unitary
+from qlandauer.ion import PulseParams, jc_block_unitary, n_max_for_nbar
 from qlandauer.protocol import (
     ExperimentConfig,
     find_entropy_zero_crossings,
@@ -104,13 +104,13 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
         )
         rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
         t = float(rng.uniform(0.0, 150.0))
-        trunc = FockTruncation(int(rng.integers(1, 10)))
+        n_max = int(rng.integers(1, 10))
         kind, builder = (
             ("red", red_sideband_hamiltonian) if rng.integers(2) == 0
             else ("blue", blue_sideband_hamiltonian))
         diff = np.linalg.norm(
-            jc_block_unitary(kind, p, trunc, t)
-            - expm_i_hermitian(builder(p, trunc), t), 2)
+            jc_block_unitary(kind, p, n_max, t)
+            - expm_i_hermitian(builder(p, n_max), t), 2)
         worst = max(worst, diff)
     ok = worst < 1e-10
     print(f"  [worst operator-norm difference over 100 draws: {worst:.3e}]")
@@ -135,10 +135,10 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
 
     # 100-shot Monte Carlo on the cold thermal state, 4-support cutoff
     nbar = 0.074
-    trunc = FockTruncation.for_nbar(nbar)
+    n_max = n_max_for_nbar(nbar)
     from qlandauer.ion import thermal_state
 
-    pops = np.array(thermal_state(nbar, trunc).matrix.diagonal().real)
+    pops = np.array(thermal_state(nbar, n_max).matrix.diagonal().real)
     pops /= pops.sum()
     truth = float(np.dot(np.arange(len(pops)), pops))
     clean = model_trace(pops, pulse, times)

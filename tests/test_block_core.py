@@ -64,7 +64,7 @@ def test_block_core_matches_dense_oracle(theta, nbar0, t_factor, fidelity, phi, 
                                dense_blue_trace(dense_final, cfg.pulse, times),
                                rtol=0, atol=1e-12)
     for state, dense in ((initial, dense_initial), (final, dense_final)):
-        probe = dephase_qubit(DOWN, state.reduced_fock())
+        probe = dephase_qubit([1.0, 0.0], state.reduced_fock())
         dense_probe = DensityMatrix(kron(DOWN, dense_reduced(dense, "B").matrix))
         np.testing.assert_allclose(exact_trace(probe, cfg.pulse, times),
                                    dense_blue_trace(dense_probe, cfg.pulse, times),
@@ -99,7 +99,7 @@ def test_reeb_wolf_finite_size_bound(theta, nbar0, t_factor):
     np.testing.assert_allclose(
         initial.populations, np.outer(initial.reduced_qubit(), initial.reduced_fock()),
         rtol=0, atol=1e-15)
-    d = cfg.truncation().n_max + 1
+    d = cfg.truncation() + 1
     bound = ledger.delta_s + 2.0 * ledger.delta_s**2 / (math.log(d - 1) ** 2 + 4.0)
     assert ledger.lhs >= bound - 1e-12
 
@@ -156,7 +156,7 @@ def test_joint_state_accepts_exactly_above_floor(arrays):
 def test_erasure_holds_no_dense_array():
     # A 2(n_max+1)-square complex matrix at nbar0 = 20 (n_max 567) is 20.6 MB.
     cfg = ExperimentConfig(nbar0=20.0)
-    assert cfg.truncation().n_max == 567
+    assert cfg.truncation() == 567
     run_erasure(cfg)
     tracemalloc.start()
     try:

@@ -660,13 +660,25 @@ class TestReadoutAndRun:
         assert out.splitlines()[1] == ",".join(SWEEP_COLUMNS)
         assert len(parse_sweep_table(out)[1]) == 1
 
-    @pytest.mark.parametrize("command", ["readout", "run"])
-    def test_n_max_below_floor_names_key(self, command, capsys):
-        # n_max 1 has no |up,2>, so the readout of |down,1> would come out wrong
-        code, out, err = run_cli([command, "--nbar0", "0", "--n-max", "1"], capsys)
-        assert code == 1
-        assert "n_max must be >= 2" in err
-        assert out == ""
+    @pytest.mark.parametrize("command", ["verify", "readout", "run"])
+    def test_n_max_below_floor_names_key(self, command, capsys, monkeypatch):
+        # n_max 1 has no |up,2>, so the readout of |down,1> would come out
+        # wrong; n_max 1000001 is above N_MAX_LIMIT and would allocate
+        # arrays of that length, so both are refused before the erasure
+        import qlandauer.cli as cli_mod
+        import qlandauer.protocol as protocol_mod
+
+        def no_erasure(config):
+            raise AssertionError("erasure ran on a refused n_max")
+
+        monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
+        monkeypatch.setattr(cli_mod, "run_erasure", no_erasure)
+        for n_max in ("1", "1000001"):
+            code, out, err = run_cli([command, "--nbar0", "0", "--n-max", n_max], capsys)
+            assert code == 1
+            assert f"n_max must be >= 2 and <= 1000000, got {n_max}" in err
+            assert "Traceback" not in err
+            assert out == ""
 
     def test_readout_table_format(self, capsys):
         code, out, _ = run_cli(["readout", "--format", "table"], capsys)

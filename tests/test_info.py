@@ -21,11 +21,11 @@ from qlandauer.info import (
 )
 from qlandauer.ion import (
     T_OP_DEFAULT,
-    FockTruncation,
     JointState,
     PulseParams,
     dephase_qubit,
     evolve,
+    n_max_for_nbar,
     thermal_log_weights,
     thermal_state,
 )
@@ -36,14 +36,14 @@ def shannon(probs):
     return -sum(p * math.log(p) for p in probs if p > 0)
 
 
-def product_state(theta_c, nbar, trunc):
+def product_state(theta_c, nbar, n_max):
     """diag(cos^2(theta_c/2), sin^2(theta_c/2)) (x) thermal(nbar)."""
     alpha = math.cos(theta_c / 2) ** 2
-    return dephase_qubit(np.diag([alpha, 1.0 - alpha]), np.exp(thermal_log_weights(nbar, trunc)))
+    return dephase_qubit([alpha, 1.0 - alpha], np.exp(thermal_log_weights(nbar, n_max)))
 
 
 def erase(theta_c, nbar, t=T_OP_DEFAULT):
-    initial = product_state(theta_c, nbar, FockTruncation.for_nbar(nbar))
+    initial = product_state(theta_c, nbar, n_max_for_nbar(nbar))
     return initial, evolve(initial, PulseParams(), t)
 
 
@@ -85,7 +85,7 @@ class TestVonNeumannEntropy:
 
 class TestMutualInformation:
     def test_product_state(self):
-        state = product_state(0.9, 0.4, FockTruncation.for_nbar(0.4))
+        state = product_state(0.9, 0.4, n_max_for_nbar(0.4))
         assert abs(mutual_information(state)) < 1e-10
 
     def test_bell_like_state(self):
@@ -112,10 +112,10 @@ class TestRelativeEntropy:
 
     def test_fock_state_against_thermal_closed_form(self):
         nbar = 0.5
-        trunc = FockTruncation.for_nbar(nbar)
-        one = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+        n_max = n_max_for_nbar(nbar)
+        one = np.zeros((n_max + 1, n_max + 1), dtype=complex)
         one[1, 1] = 1.0
-        d = relative_entropy(DensityMatrix(one), thermal_state(nbar, trunc))
+        d = relative_entropy(DensityMatrix(one), thermal_state(nbar, n_max))
         assert abs(d - (-math.log(nbar / (1 + nbar) ** 2))) < 1e-9
 
     def test_klein_inequality_random_diagonal(self):
@@ -145,12 +145,12 @@ class TestRelativeEntropy:
 
 class TestReservoirEnergy:
     def test_ground_state(self):
-        rho = thermal_state(0.0, FockTruncation(3))
+        rho = thermal_state(0.0, 3)
         assert reservoir_energy(rho.matrix.diagonal().real) == 0.0
 
     @pytest.mark.parametrize("nbar", [0.074, 0.5, 2.0])
     def test_thermal_mean(self, nbar):
-        rho = thermal_state(nbar, FockTruncation.for_nbar(nbar))
+        rho = thermal_state(nbar, n_max_for_nbar(nbar))
         assert abs(reservoir_energy(rho.matrix.diagonal().real) - nbar) < 1e-10
 
     def test_heat_equals_energy_difference(self):
@@ -186,7 +186,7 @@ class TestTemperatureMap:
 
     def test_gibbs_exponent_round_trip(self):
         nbar = 0.3
-        rho = thermal_state(nbar, FockTruncation.for_nbar(nbar))
+        rho = thermal_state(nbar, n_max_for_nbar(nbar))
         diag = rho.matrix.diagonal().real
         beta = math.log(diag[0] / diag[1])  # ln(p0/p1) = 1/T in T0 units
         assert abs(beta - 1 / temperature_from_nbar(nbar)) < 1e-12
@@ -266,7 +266,7 @@ class TestLandauerLedger:
         assert ledger.lhs > 5
 
     def test_truncation_mismatch_rejected(self):
-        a = product_state(1.0, 0.1, FockTruncation(4))
-        b = product_state(1.0, 0.1, FockTruncation(5))
+        a = product_state(1.0, 0.1, 4)
+        b = product_state(1.0, 0.1, 5)
         with pytest.raises(ValueError, match="truncation"):
             landauer_ledger(a, b, 0.1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import dense_matrix
+from oracle import dense_erasure, dense_matrix
 from qlandauer.info import temperature_from_nbar, von_neumann_entropy
 from qlandauer.ion import thermal_state
 from qlandauer.linalg import kron
@@ -84,6 +84,8 @@ class TestRunErasure:
         assert abs(entropies[5] - expected) < 1e-12
 
     def test_initial_state_matches_dense_preparation(self):
+        # against the closed form at fidelity 1, and against the carrier
+        # unitary conjugating diag(F, 1 - F) of the dense oracle at every F
         for theta in (0.0, 0.7, math.pi / 2, 2.9, math.pi):
             for nbar in (0.0, 0.074, 2.0):
                 cfg = dataclasses.replace(DEFAULT, theta_c=theta, nbar0=nbar)
@@ -91,6 +93,12 @@ class TestRunErasure:
                 qubit = np.diag([math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2])
                 expected = kron(qubit, thermal_state(nbar, cfg.truncation()).matrix)
                 np.testing.assert_allclose(dense_matrix(initial), expected, rtol=0, atol=1e-15)
+                for fidelity in (1.0, 0.989, 0.7, 0.5, 0.0):
+                    cfg_f = dataclasses.replace(
+                        cfg, imperfections=Imperfections(init_fidelity=fidelity))
+                    _, initial, _ = run_erasure(cfg_f)
+                    np.testing.assert_allclose(dense_matrix(initial),
+                                               dense_erasure(cfg_f)[0].matrix, rtol=0, atol=1e-15)
 
     def test_imperfect_initialization_mixes_preparation(self):
         cfg = dataclasses.replace(
@@ -268,7 +276,7 @@ class TestSimulatedReadout:
         _, initial, final = run_erasure(DEFAULT)
         times = DEFAULT.readout_times()
         for state, expected_nbar in ((initial, 0.074), (final, 1.074)):
-            probe = dephase_qubit(np.diag([1.0, 0.0]), state.reduced_fock())
+            probe = dephase_qubit([1.0, 0.0], state.reduced_fock())
             clean = exact_trace(probe, DEFAULT.pulse, times)
             flipped = detection_flip(clean, 0.0022)
             a = fit_design_matrix(default_n_fit(expected_nbar), DEFAULT.pulse, times)

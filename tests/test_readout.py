@@ -5,10 +5,10 @@ import pytest
 
 from oracle import dense_blue_trace, dense_matrix
 from qlandauer.ion import (
-    FockTruncation,
     PulseParams,
     dephase_qubit,
     evolve,
+    n_max_for_nbar,
     thermal_state,
 )
 from qlandauer.linalg import DensityMatrix
@@ -29,12 +29,11 @@ TIMES = np.linspace(0.0, 6 * PULSE.t_op, 30)
 
 
 def down_fock_state(populations):
-    return dephase_qubit(np.diag([1.0, 0.0]), populations)
+    return dephase_qubit([1.0, 0.0], populations)
 
 
 def thermal_populations(nbar):
-    trunc = FockTruncation.for_nbar(nbar)
-    diag = np.array(thermal_state(nbar, trunc).matrix.diagonal().real)
+    diag = np.array(thermal_state(nbar, n_max_for_nbar(nbar)).matrix.diagonal().real)
     return diag / diag.sum()
 
 
@@ -46,7 +45,7 @@ class TestExactTrace:
         np.testing.assert_allclose(p_down, expected, atol=1e-12)
 
     def test_up_ground_is_dark(self):
-        state = dephase_qubit(np.diag([0.0, 1.0]), [1.0, 0.0, 0.0, 0.0])
+        state = dephase_qubit([0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(exact_trace(state, PULSE, TIMES), 0.0, atol=1e-12)
 
     def test_matches_incoherent_model_for_down_diagonal_states(self):
@@ -62,7 +61,7 @@ class TestExactTrace:
         rng = np.random.default_rng(41)
         for n_max in range(1, 10):
             for _ in range(3):
-                product = dephase_qubit(np.diag(rng.dirichlet(np.ones(2))),
+                product = dephase_qubit(rng.dirichlet(np.ones(2)),
                                         rng.dirichlet(np.ones(n_max + 1)))
                 # the two drive phase draws are kept so the other draws stay the same
                 rng.uniform(-math.pi, math.pi)
@@ -128,6 +127,8 @@ class TestModelTrace:
             model_trace([0.5, 0.2], PULSE, TIMES)
         with pytest.raises(ValueError, match="probability"):
             model_trace([1.2, -0.2], PULSE, TIMES)
+        with pytest.raises(ValueError, match="probability"):
+            model_trace([np.nan, 0.5, 0.5], PULSE, TIMES)
 
 
 class TestSampleShots:
