@@ -6,9 +6,9 @@ then command-line overrides, in that precedence; a file may set any key, a
 subcommand takes and hashes only the keys it reads, and each of those can
 change its output (seed only where shots are drawn).  Exit codes: 0 success,
 1 validation error (an output file that cannot be written included), 2
-numerical failure (a failed equality or heat-conservation check, a
-truncation check failed by verify, readout or run, or a non-converged fit
-under readout or run); a failed check still writes the output.
+numerical failure (a failed equality or heat-conservation check, a failed
+truncation check under any command, or a non-converged fit under readout or
+run); a failed check still writes the output.
 """
 
 from __future__ import annotations
@@ -310,20 +310,25 @@ def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
                                  ("truncation_tail_mass", tail)])
 
 
-def _cmd_sweep_temp(config: ExperimentConfig, values: dict) -> str:
+def _cmd_sweep_temp(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
+    """The sweep.  A given n_max serves every row, so its tail is checked at
+    the hottest effective nbar of the grid; an automatic one fits each row."""
     grid = np.geomspace(values["nbar_min"], values["nbar_max"], values["nbar_points"])
     rows = sweep_temperature(config, grid)
+    _check_truncation(dataclasses.replace(config, nbar0=float(grid.max())), failures)
     return format_sweep_table(rows, provenance_line("sweep-temp", values))
 
 
-def _cmd_sweep_theta(config: ExperimentConfig, values: dict) -> str:
+def _cmd_sweep_theta(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
     grid = np.linspace(values["theta_min"], values["theta_max"], values["theta_points"])
     rows = sweep_theta(config, grid)
+    _check_truncation(config, failures)
     return format_sweep_table(rows, provenance_line("sweep-theta", values))
 
 
-def _cmd_crossings(config: ExperimentConfig, values: dict) -> str:
+def _cmd_crossings(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
     theta_low, theta_high = find_entropy_zero_crossings(config)
+    _check_truncation(config, failures)
     return _summary(provenance_line("crossings", values), [
         ("nbar0", config.effective_nbar0),
         ("theta_low", "absent" if theta_low is None else theta_low),
@@ -345,11 +350,11 @@ def parse_and_dispatch(argv: list[str]) -> int:
         elif args.subcommand in ("readout", "run"):
             text = _cmd_readout(args.subcommand, config, values, args.format, failures)
         elif args.subcommand == "sweep-temp":
-            text = _cmd_sweep_temp(config, values)
+            text = _cmd_sweep_temp(config, values, failures)
         elif args.subcommand == "sweep-theta":
-            text = _cmd_sweep_theta(config, values)
+            text = _cmd_sweep_theta(config, values, failures)
         else:
-            text = _cmd_crossings(config, values)
+            text = _cmd_crossings(config, values, failures)
         # Failed checks are named even when the output cannot be written.
         try:
             _emit(text, args.output_path)

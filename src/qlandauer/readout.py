@@ -54,19 +54,13 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
     dark), whose coherences a JointState never holds, so only populations
     enter, residual up population included:
 
-        p_down(t) = sum_{n<n_max} [c_n^2 rho(dn,dn) + s_n^2 rho(u n+1,u n+1)]
+        p_down(t) = sum_{n<n_max} [B_n rho(dn,dn) + (1 - B_n) rho(u n+1,u n+1)]
                     + rho(d n_max,d n_max)
 
-    with c_n, s_n the cosine and sine of sideband_half_angles at t.
+    with B the model_trace matrix of levels 0 .. n_max - 1 at t.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("readout times must be >= 0")
-    half_angles = sideband_half_angles(p, rho.n_max, times[:, None])
-    pops = rho.populations
-    values = (np.cos(half_angles)**2 @ pops[0, :-1] + np.sin(half_angles)**2 @ pops[1, 1:]
-              + pops[0, -1])
-    return np.clip(values, 0.0, 1.0)
+    b, pops = _design_matrix(rho.n_max - 1, p, times), rho.populations
+    return np.clip(b @ pops[0, :-1] + (1.0 - b) @ pops[1, 1:] + pops[0, -1], 0.0, 1.0)
 
 
 def model_trace(populations, p: PulseParams, times) -> np.ndarray:
@@ -162,10 +156,11 @@ def fit_phonon_populations(a: np.ndarray, p_down) -> PhononFit:
     )
 
 
-def _design_matrix(n_fit: int, p: PulseParams, times: np.ndarray) -> np.ndarray:
-    t = np.asarray(times, dtype=float)[:, None]
-    angles = 2.0 * sideband_half_angles(p, n_fit + 1, t)
-    return (1.0 + np.cos(angles)) / 2.0
+def _design_matrix(n_fit: int, p: PulseParams, times) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):  # NaN fails both
+        raise ValueError("readout times must be finite and >= 0")
+    return (1.0 + np.cos(2.0 * sideband_half_angles(p, n_fit + 1, t[:, None]))) / 2.0
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -115,12 +115,12 @@ def relative_entropy(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 def dense_matrix(state) -> np.ndarray:
     """Qubit-major matrix with the diagonal ``state.populations`` and the
-    coherences <down,n+1|rho|up,n> = ``state.red_coherences``."""
+    coherences <down,n+1|rho|up,n> = i y_n, y = ``state.red_coherences``."""
     d = np.shape(state.populations)[1]
     m = np.diag(np.ravel(state.populations).astype(complex))
     n = np.arange(d - 1)
-    m[n + 1, d + n] = state.red_coherences
-    m[d + n, n + 1] = np.conj(state.red_coherences)
+    m[n + 1, d + n] = 1j * np.asarray(state.red_coherences)
+    m[d + n, n + 1] = -1j * np.asarray(state.red_coherences)
     return m
 
 

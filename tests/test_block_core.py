@@ -121,7 +121,7 @@ def block_arrays(draw):
     """Populations and red coherences of a unit-trace block state, n_max
     2-12, built from its eigenvalues: one drawn near EIGENVALUE_FLOOR or
     well away from it on either side, some exact zeros, and each pair's
-    pair rotated by a random angle and phase."""
+    pair rotated by a random angle and sign."""
     n_max = draw(st.integers(2, 12))
     lowest = draw(st.one_of(st.floats(-5e-10, 5e-10), st.floats(-1e-2, 1e-2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -129,12 +129,12 @@ def block_arrays(draw):
     eig[:draw(st.integers(0, n_max))] = 0.0
     eig = rng.permutation(np.append(eig / eig.sum() * (1.0 - lowest), lowest))
     upper, lower = eig[2::2], eig[3::2]
-    chi, psi = rng.uniform(0.0, math.pi, n_max), rng.uniform(-math.pi, math.pi, n_max)
+    chi, sign = rng.uniform(0.0, math.pi, n_max), rng.choice((-1.0, 1.0), n_max)
     pops = np.zeros((2, n_max + 1))
     pops[0, 0], pops[1, -1] = eig[0], eig[1]
     pops[1, :-1] = upper * np.cos(chi) ** 2 + lower * np.sin(chi) ** 2
     pops[0, 1:] = upper * np.sin(chi) ** 2 + lower * np.cos(chi) ** 2
-    coh = (upper - lower) * np.sin(chi) * np.cos(chi) * np.exp(1j * psi)
+    coh = (upper - lower) * np.sin(chi) * np.cos(chi) * sign
     return pops, coh
 
 

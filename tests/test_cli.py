@@ -421,6 +421,27 @@ class TestSweepCommands:
         assert code == 1
         assert "nbar" in err
 
+    @pytest.mark.parametrize("argv, tail", [
+        (["sweep-temp", "--n-max", "2"], "2.963e-01"),  # (2/3)^3 at the grid's nbar 2
+        (["sweep-theta", "--n-max", "2", "--nbar0", "3", "--theta-points", "3"], "4.219e-01"),
+        (["crossings", "--n-max", "2", "--nbar0", "3"], "4.219e-01"),  # (3/4)^3
+    ])
+    def test_short_truncation_fails(self, argv, tail, capsys):
+        # the output is still written, with the lines of an adequate cut
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"n_max = 2 leaves thermal tail mass {tail}" in err
+        code, adequate, _ = run_cli([a for a in argv if a not in ("--n-max", "2")], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == len(adequate.splitlines())
+
+    def test_temp_sweep_truncation_checked_at_hottest_nbar(self, capsys):
+        # n_max 12 leaves (1/11)^13 = 2.9e-14 at nbar 0.1 but (2/3)^13 at nbar 2
+        code, _, err = run_cli(["sweep-temp", "--n-max", "12", "--nbar-max", "0.1"], capsys)
+        assert code == 0 and err == ""
+        code, _, err = run_cli(["sweep-temp", "--n-max", "12"], capsys)
+        assert code == 2 and "tail mass 5.138e-03" in err
+
 
 LEDGER_KEYS = [
     "theta_c", "nbar0", "pulse_duration_us", "eta", "omega_rad_per_us", "n_max",
@@ -532,7 +553,7 @@ class TestReadoutAndRun:
         exact = float(summary_value(out, "exact_mean_phonon"))
         assert abs(fitted - exact) < 1e-3
 
-    def test_non_finite_decay_envelope_names_keys(self, tmp_path, capsys):
+    def test_removed_decay_keys_refused_by_name(self, tmp_path, capsys):
         # the decay-envelope keys are gone: as flags or in a config file they
         # are refused by name before anything runs
         code, out, err = run_cli(["readout", "--gamma0", "0.001", "--decay-alpha", "1000"],

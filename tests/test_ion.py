@@ -46,12 +46,12 @@ def basis_state(n_max, qubit, n):
 
 def random_joint_state(rng, n_max):
     """Random qubit and Fock populations, a red pulse of random length, then
-    a random phase on every red coherence (the pulse alone leaves them
-    imaginary): every population and red coherence is generic."""
+    a random sign on every red coherence y_n (a state and its mirror image
+    i y_n -> -i y_n share a spectrum): every population and y_n is generic."""
     product = dephase_qubit(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(n_max + 1)))
-    phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    sign = rng.choice((-1.0, 1.0), n_max)
     pulsed = evolve(product, PulseParams(), float(rng.uniform(0.0, 100.0)))
-    return JointState(pulsed.populations, pulsed.red_coherences * phase)
+    return JointState(pulsed.populations, pulsed.red_coherences * sign)
 
 
 class TestFockTruncation:
@@ -390,6 +390,23 @@ class TestJointState:
         # pair block [[0.25, 0.3], [0.3, 0.25]] on (|up,0>, |down,1>) has eigenvalue -0.05
         with pytest.raises(ValueError, match="negative eigenvalue"):
             JointState([[0.25, 0.25], [0.25, 0.25]], [0.3])
+
+    def test_complex_entries_refused(self):
+        # a coherence is i y_n with y_n real; a complex y_n or population is
+        # refused by name, not cast with its imaginary part dropped
+        for coh in ([0.1j], np.array([0.1 + 0.0j])):
+            with pytest.raises(ValueError, match="red_coherences must be real"):
+                JointState(np.full((2, 2), 0.25), coh)
+        with pytest.raises(ValueError, match="populations must be real"):
+            JointState(np.full((2, 2), 0.25) + 0.3j, [0.0])
+
+    def test_subnormal_pair_has_finite_spectrum(self):
+        # a pair holding only 5e-324 has upper eigenvalue 0 after rounding;
+        # its lower one is the pair's trace, not 0/0, which the floor check
+        # would let through
+        state = JointState([[0.5, 0.5, 0.0], [0.0, 5e-324, 0.0]], [0.0, 0.0])
+        assert np.isfinite(state.spectrum).all()
+        assert state.spectrum.sum() == 1.0
 
     def test_spectrum_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(15)

@@ -316,9 +316,9 @@ class TestSimulatedReadout:
         assert other.fitted_mean_phonon != simulated_readout_run(cfg).fitted_mean_phonon
 
     def test_design_matrix_built_and_checked_once(self, monkeypatch):
-        import qlandauer.readout as readout_mod
+        import qlandauer.protocol as protocol_mod
 
-        calls = {"svd": 0, "build": 0}
+        calls = {"svd": 0, "check": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -327,12 +327,12 @@ class TestSimulatedReadout:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        monkeypatch.setattr(readout_mod, "_design_matrix",
-                            counted("build", readout_mod._design_matrix))
+        monkeypatch.setattr(protocol_mod, "fit_design_matrix",
+                            counted("check", protocol_mod.fit_design_matrix))
         simulated_readout_run(ExperimentConfig(shots=100))
-        # the pre-erasure check builds the matrix both fits slice; model_trace
-        # builds the second, for the model-error estimate
-        assert calls == {"svd": 1, "build": 2}
+        # one fit_design_matrix call builds and checks the matrix both fits
+        # slice, with the run's one SVD
+        assert calls == {"svd": 1, "check": 1}
 
 
 class TestDefaultGrids:

@@ -76,9 +76,16 @@ class TestExactTrace:
                     rtol=0, atol=1e-12)
 
     def test_negative_time_rejected(self):
+        # negative and non-finite times are refused by every function that
+        # builds a readout matrix, not turned into nan or an SVD failure
         state = down_fock_state([1.0, 0.0])
-        with pytest.raises(ValueError, match="times"):
-            exact_trace(state, PULSE, [-1.0, 0.0])
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            times = np.append(TIMES, bad)
+            for build in (lambda: exact_trace(state, PULSE, times),
+                          lambda: model_trace([0.5, 0.5], PULSE, times),
+                          lambda: fit_design_matrix(2, PULSE, times)):
+                with pytest.raises(ValueError, match="readout times must be finite and >= 0"):
+                    build()
 
 
 class TestModelTrace:
@@ -101,7 +108,7 @@ class TestModelTrace:
         p_down = model_trace(pops, PULSE, [0.0, t])
         assert abs(p_down[1] - expected) < 1e-12
 
-    def test_decay_envelope(self):
+    def test_fock_level_keeps_full_contrast(self):
         # the model has no decay envelope, like the data exact_trace simulates:
         # a Fock level keeps full contrast at late times
         t = 40.0
@@ -113,7 +120,7 @@ class TestModelTrace:
         assert abs(p_down[1] - exact[1]) < 1e-12
 
     @pytest.mark.parametrize("t_late", [300.0, 1000.0])
-    def test_zero_decay_at_any_exponent(self, t_late):
+    def test_matches_exact_trace_long_after_span(self, t_late):
         # no decay exponent enters the model: long after the readout span it
         # still equals the undamped trace of the state it describes
         pops = thermal_populations(0.5)
@@ -220,7 +227,7 @@ class TestFit:
         assert abs(fit.mean_phonon
                    - np.dot(np.arange(9), fit.populations)) < 1e-12
 
-    def test_decay_parameters_echoed(self):
+    def test_undamped_trace_fitted_as_is(self):
         # the fit takes no decay parameters: an undamped trace is fitted as is
         p_down = model_trace([1.0], PULSE, TIMES)
         fit = fit_phonon_populations(fit_design_matrix(2, PULSE, TIMES), p_down)
