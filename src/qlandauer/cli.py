@@ -6,7 +6,8 @@ then command-line overrides, in that precedence; a file may set any key, a
 subcommand takes and hashes only the keys it reads, and each of those can
 change its output (seed only where shots are drawn).  Exit codes: 0 success,
 1 validation error (an output file that cannot be written included), 2
-numerical failure (a failed equality or heat-conservation check, a failed
+numerical failure (a failed equality check under every command but
+crossings, a failed heat-conservation check under verify, a failed
 truncation check under any command, or a non-converged fit under readout or
 run); a failed check still writes the output.
 """
@@ -222,6 +223,15 @@ def _check_truncation(config: ExperimentConfig, failures: list[str]) -> float:
     return tail
 
 
+def _check_equality(residuals, failures: list[str]) -> None:
+    """Adds to ``failures`` the non-divergent (not None) equality residuals
+    not below VERIFY_RESIDUAL_BOUND, the first by value."""
+    bad = [r for r in residuals if r is not None and not abs(r) < VERIFY_RESIDUAL_BOUND]
+    if bad:
+        more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
+        failures.append(f"equality residual {bad[0]:.3e} exceeds {VERIFY_RESIDUAL_BOUND}{more}")
+
+
 def _summary(provenance: str, pairs) -> str:
     """The structured output: the provenance line, then one ``key = value``
     line per pair; None prints as divergent, a string as it is, anything
@@ -264,9 +274,7 @@ def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> 
     n + |up><up| (|up,n_max> is dark, so truncation keeps that), hence
     delta_q = P_up - P'_up exactly, with no entropy code involved."""
     ledger, initial, final = run_erasure(config)
-    if not ledger.divergent and not abs(ledger.residual) < VERIFY_RESIDUAL_BOUND:
-        failures.append(
-            f"equality residual {ledger.residual:.3e} exceeds {VERIFY_RESIDUAL_BOUND}")
+    _check_equality([ledger.residual], failures)
     heat_residual = float(ledger.delta_q - (initial.reduced_qubit()[1]
                                             - final.reduced_qubit()[1]))
     if not abs(heat_residual) < VERIFY_RESIDUAL_BOUND:
@@ -284,6 +292,7 @@ def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
                  failures: list[str]) -> str:
     """readout and run: one erasure plus the phonon readout of both states."""
     row = simulated_readout_run(config)
+    _check_equality([row.residual], failures)
     if not row.fit_converged:
         failures.append("phonon fit hit the iteration cap without converging")
     tail = _check_truncation(config, failures)
@@ -302,10 +311,10 @@ def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
                  ("delta_q_estimate_q0", row.delta_q_estimate),
                  ("readout_model_error", row.readout_model_error), ("shots", config.shots)]
     else:
-        pairs = [(name, getattr(row, name)) for name in (
-            "value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
+        pairs = [("theta_c", config.theta_c), *((name, getattr(row, name)) for name in (
+            "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
             "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
-            "readout_model_error")]
+            "readout_model_error"))]
     return _summary(provenance, [*pairs, ("fit_converged", "yes" if row.fit_converged else "no"),
                                  ("truncation_tail_mass", tail)])
 
@@ -315,6 +324,7 @@ def _cmd_sweep_temp(config: ExperimentConfig, values: dict, failures: list[str])
     the hottest effective nbar of the grid; an automatic one fits each row."""
     grid = np.geomspace(values["nbar_min"], values["nbar_max"], values["nbar_points"])
     rows = sweep_temperature(config, grid)
+    _check_equality([row.residual for row in rows], failures)
     _check_truncation(dataclasses.replace(config, nbar0=float(grid.max())), failures)
     return format_sweep_table(rows, provenance_line("sweep-temp", values))
 
@@ -322,6 +332,7 @@ def _cmd_sweep_temp(config: ExperimentConfig, values: dict, failures: list[str])
 def _cmd_sweep_theta(config: ExperimentConfig, values: dict, failures: list[str]) -> str:
     grid = np.linspace(values["theta_min"], values["theta_max"], values["theta_points"])
     rows = sweep_theta(config, grid)
+    _check_equality([row.residual for row in rows], failures)
     _check_truncation(config, failures)
     return format_sweep_table(rows, provenance_line("sweep-theta", values))
 

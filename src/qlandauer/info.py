@@ -24,10 +24,6 @@ HBAR_JS = 1.054571817e-34
 KB_J_PER_K = 1.380649e-23
 
 
-class ZeroTemperatureError(ValueError):
-    """Raised where a 1/T quantity is requested at nbar = 0."""
-
-
 @dataclass(frozen=True)
 class UnitSystem:
     """Display conversions for the internal Q0/T0 unit normalization."""
@@ -100,13 +96,14 @@ def reservoir_energy(populations) -> float:
 
 
 def temperature_from_nbar(nbar: float) -> float:
-    """T = T0 / ln(1 + 1/nbar), in units of T0.  Diverging 1/T at nbar = 0
-    is signalled as ZeroTemperatureError so callers must branch.  Where 1/nbar
-    overflows (nbar below about 5.6e-309) the log is ln(1 + nbar) - ln(nbar)."""
+    """T = T0 / ln(1 + 1/nbar), in units of T0.  nbar = 0 (zero temperature,
+    where 1/T diverges) raises ValueError, so callers branch before asking.
+    Where 1/nbar overflows (nbar below about 5.6e-309) the log is
+    ln(1 + nbar) - ln(nbar)."""
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     if nbar == 0:
-        raise ZeroTemperatureError("nbar = 0 means zero temperature; 1/T diverges")
+        raise ValueError("nbar = 0 means zero temperature; 1/T diverges")
     inverse = 1.0 / nbar
     if math.isinf(inverse):
         return 1.0 / (math.log1p(nbar) - math.log(nbar))

@@ -263,13 +263,14 @@ def find_entropy_zero_crossings(
 def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     """Full pipeline including the phonon readout.
 
-    Runs the erasure, then probes the pre-erasure and post-erasure reservoir
-    states with blue-sideband traces (readout preparation resets the qubit
-    to |down> without disturbing the reservoir), applies detection error and
-    optionally shot noise, and fits both traces on the probability simplex.
-    Reports fitted vs exact mean phonon numbers, the heat estimate from the
-    fits, and the worst-case deviation of the down-only readout model from
-    the exact post-erasure trace (residual up population and correlations).
+    Runs the erasure, then probes the pre- and post-erasure reservoir states:
+    readout preparation resets the qubit to |down> without disturbing the
+    reservoir, so a probe's clean blue-sideband trace is model_trace of the
+    reservoir populations, the model the fit inverts.  Applies detection
+    error and optionally shot noise, fits both traces on the probability
+    simplex, and reports fitted vs exact mean phonon numbers, the heat
+    estimate from the fits, and the worst-case deviation of the post-erasure
+    probe from the exact trace of the correlated post-erasure state.
     A config whose readout arrays exceed READOUT_CELLS_LIMIT, or whose trace
     cannot identify the larger fit's n_fit + 1 populations, is rejected
     before the erasure runs; that check (fit_design_matrix) builds the one
@@ -293,22 +294,17 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
 
     ledger, initial, final = run_erasure(config)
 
-    def probe(state: JointState, n_fit: int, seed: int):
-        reset = dephase_qubit([1.0, 0.0], state.reduced_fock())
-        p_down = detection_flip(exact_trace(reset, config.pulse, times), eps)
+    def probe(clean: np.ndarray, n_fit: int, seed: int):
+        p_down = detection_flip(clean, eps)
         if config.shots > 0:
             p_down = sample_shots(p_down, config.shots, seed)
         return fit_phonon_populations(a[:, :n_fit + 1], p_down)
 
-    fit_pre = probe(initial, n_fit_pre, config.seed)
-    fit_post = probe(final, n_fit_post, config.seed + 1)
-
-    # How far the down-only incoherent model is from the exact readout of the
-    # actual correlated post-erasure state.
-    exact_post = exact_trace(final, config.pulse, times)
-    post_pops = final.reduced_fock()
-    modeled = model_trace(post_pops / post_pops.sum(), config.pulse, times)
-    model_error = float(np.max(np.abs(exact_post - modeled)))
+    pre, post = (model_trace(state.reduced_fock(), config.pulse, times)
+                 for state in (initial, final))
+    fit_pre = probe(pre, n_fit_pre, config.seed)
+    fit_post = probe(post, n_fit_post, config.seed + 1)
+    model_error = float(np.max(np.abs(exact_trace(final, config.pulse, times) - post)))
 
     return _ledger_row(
         "theta_c", config.theta_c, config, ledger,
@@ -338,29 +334,4 @@ def format_sweep_table(rows, provenance: str) -> str:
     for row in rows:
         lines.append(",".join(_cell(getattr(row, col)) for col in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def parse_sweep_table(text: str) -> tuple[str, list[SweepRow]]:
-    """Inverse of format_sweep_table (round-trip safe)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    provenance = ""
-    while lines and lines[0].startswith("#"):
-        provenance = lines.pop(0)
-    if not lines or lines[0] != ",".join(SWEEP_COLUMNS):
-        raise ValueError("missing or unexpected sweep table header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(SWEEP_COLUMNS):
-            raise ValueError(f"row has {len(cells)} cells, expected {len(SWEEP_COLUMNS)}")
-        kwargs = {}
-        for col, cell in zip(SWEEP_COLUMNS, cells):
-            if col == "variable":
-                kwargs[col] = cell
-            elif col == "fit_converged":
-                kwargs[col] = None if cell == "" else bool(float(cell))
-            else:
-                kwargs[col] = None if cell == "" else float(cell)
-        rows.append(SweepRow(**kwargs))
-    return provenance, rows
 

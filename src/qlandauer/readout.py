@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .info import reservoir_energy
 from .ion import JointState, PulseParams, sideband_half_angles
 
 FIT_MAX_ITERATIONS = 100_000
@@ -94,22 +95,24 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
     """The fit's design matrix, refused unless it identifies n_fit + 1 populations.
 
     Row k, column n is the down probability of Fock level n at times[k] as
-    detected with symmetric misclassification epsilon:
-    A_eps = eps + (1 - 2 eps) A, with A the model_trace matrix (A_0 = A bit
-    for bit).  The fit works on the Gram matrix A_eps^T A_eps, whose
-    condition number is the square of A_eps's; once sigma_max / sigma_min of
-    A_eps exceeds FIT_CONDITION_LIMIT = 1/sqrt(machine eps) the Gram matrix
-    is numerically singular and the fitted populations are not unique.  A
+    detected with symmetric misclassification epsilon: A_eps is
+    detection_flip of A, the model_trace matrix, so A_eps = eps + (1 - 2 eps)
+    A (A_0 = A bit for bit).  The fit works on the Gram matrix A_eps^T A_eps,
+    whose condition number is the square of A_eps's; once sigma_max /
+    sigma_min of A_eps exceeds FIT_CONDITION_LIMIT = 1/sqrt(machine eps) the
+    Gram matrix is numerically singular and the fitted populations are not
+    unique.  A
     trace with fewer times than populations is rank deficient outright.
     At epsilon = 1/2 A_eps is the constant 1/2: the detector carries no
     information and no trace identifies anything.  Each case raises
     ValueError naming n_fit, the point count, the span, detection_epsilon
-    and the condition number; an n_fit below 1 is refused first.
+    and the condition number; an n_fit below 1 is refused first, then a
+    negative or non-finite time.
     """
     if n_fit < 1:
         raise ValueError(f"n_fit must be >= 1, got {n_fit}")
-    times = np.asarray(times, dtype=float)
-    n_points = len(times)
+    a = detection_flip(_design_matrix(n_fit, p, times), epsilon)
+    n_points = len(a)
     where = (f"a fit of n_fit = {n_fit} is not identifiable from readout_points = {n_points} "
              f"over readout_span = {np.max(times, initial=0.0):.6g} us at detection_epsilon = "
              f"{epsilon:g}")
@@ -120,7 +123,6 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
         raise ValueError(
             f"{where}: readout_points = {n_points} is fewer than n_fit + 1 = {n_fit + 1} "
             f"(condition number inf); raise readout_points or lower n_fit")
-    a = epsilon + (1.0 - 2.0 * epsilon) * _design_matrix(n_fit, p, times)
     singular = np.linalg.svd(a, compute_uv=False)
     condition = singular[0] / singular[-1] if singular[-1] > 0 else math.inf
     if not condition <= FIT_CONDITION_LIMIT:
@@ -150,7 +152,7 @@ def fit_phonon_populations(a: np.ndarray, p_down) -> PhononFit:
     resid = a @ pops - p_down
     return PhononFit(
         populations=pops,
-        mean_phonon=float(np.dot(np.arange(a.shape[1]), pops)),
+        mean_phonon=reservoir_energy(pops),
         residual_norm=float(np.sqrt(np.mean(resid**2))),
         converged=converged,
     )

@@ -2,7 +2,8 @@
 
 The package carries joint states as populations plus 2x2 red-sideband blocks
 (qlandauer.ion.JointState); the helpers here work on full 2(n_max+1)-square
-matrices instead.  Nothing in the package imports this module.
+matrices instead.  It also reads back the comma-separated tables the
+package emits.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from qlandauer.info import von_neumann_entropy
 from qlandauer.ion import PulseParams, jc_block_unitary, thermal_state
 from qlandauer.linalg import DensityMatrix, kron, partial_trace
+from qlandauer.protocol import SWEEP_COLUMNS, SweepRow
 
 # rho1 weight tolerated on a zero (or negative roundoff) eigenvalue of rho2
 # before the relative entropy is declared divergent.
@@ -169,3 +171,28 @@ def dense_blue_trace(rho: DensityMatrix, p: PulseParams, times) -> np.ndarray:
         down_rows = jc_block_unitary("blue", p, n_max, float(t))[:n_max + 1]
         values[i] = np.einsum("ij,jk,ik->", down_rows, rho.matrix, down_rows.conj()).real
     return values
+
+
+def parse_sweep_table(text: str) -> tuple[str, list[SweepRow]]:
+    """Inverse of protocol.format_sweep_table (round-trip safe)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    provenance = ""
+    while lines and lines[0].startswith("#"):
+        provenance = lines.pop(0)
+    if not lines or lines[0] != ",".join(SWEEP_COLUMNS):
+        raise ValueError("missing or unexpected sweep table header")
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(SWEEP_COLUMNS):
+            raise ValueError(f"row has {len(cells)} cells, expected {len(SWEEP_COLUMNS)}")
+        kwargs = {}
+        for col, cell in zip(SWEEP_COLUMNS, cells):
+            if col == "variable":
+                kwargs[col] = cell
+            elif col == "fit_converged":
+                kwargs[col] = None if cell == "" else bool(float(cell))
+            else:
+                kwargs[col] = None if cell == "" else float(cell)
+        rows.append(SweepRow(**kwargs))
+    return provenance, rows

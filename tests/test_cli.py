@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import parse_sweep_table
 from qlandauer.cli import (
     COMMAND_KEYS,
     CONFIG_KEYS,
@@ -18,7 +19,7 @@ from qlandauer.cli import (
     parse_config_file,
     provenance_line,
 )
-from qlandauer.protocol import SWEEP_COLUMNS, ExperimentConfig, parse_sweep_table
+from qlandauer.protocol import SWEEP_COLUMNS, ExperimentConfig
 
 FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
@@ -128,6 +129,26 @@ class TestVerify:
         assert float(summary_value(out, "heat_conservation_residual")) == pytest.approx(1e-6)
         assert summary_value(out, "verified") == "no"
         assert "heat conservation residual" in err and "equality" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["readout"], ["run"],
+        ["sweep-temp", "--nbar-points", "3"], ["sweep-theta", "--theta-points", "3"],
+    ])
+    def test_equality_off_fails_every_ledger_command(self, argv, capsys, monkeypatch):
+        # a residual of 1e-3 in every ledger: each command that computes one
+        # fails the equality check, names it, and still writes its output
+        import qlandauer.protocol as protocol_mod
+
+        original = protocol_mod.landauer_ledger
+
+        def residual_off(*args):
+            return dataclasses.replace(original(*args), residual=1e-3)
+
+        monkeypatch.setattr(protocol_mod, "landauer_ledger", residual_off)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "equality residual 1.000e-03 exceeds 1e-09" in err
+        assert out.startswith(f"# qlandauer {argv[0]} config=")
 
     def test_negative_nbar_names_key(self, capsys):
         code, _, err = run_cli(["verify", "--nbar0", "-1"], capsys)
@@ -463,7 +484,7 @@ class TestOutputKeys:
         (["run", "--shots", "100"], RUN_KEYS),
         (["run", "--nbar0", "0"], RUN_KEYS),
         (["readout", "--shots", "100"], [
-            "value", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
+            "theta_c", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
             "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
             "readout_model_error", "fit_converged", "truncation_tail_mass"]),
         (["crossings"], ["nbar0", "theta_low", "theta_high"]),

@@ -12,7 +12,6 @@ from oracle import (
 )
 from qlandauer.info import (
     UnitSystem,
-    ZeroTemperatureError,
     landauer_ledger,
     mutual_information,
     reservoir_energy,
@@ -181,7 +180,7 @@ class TestTemperatureMap:
         assert abs(t * -math.log(nbar) - 1.0) < 1e-15
 
     def test_zero_occupation_signalled(self):
-        with pytest.raises(ZeroTemperatureError):
+        with pytest.raises(ValueError, match="zero temperature"):
             temperature_from_nbar(0.0)
 
     def test_gibbs_exponent_round_trip(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import dense_erasure, dense_matrix
+from oracle import dense_erasure, dense_matrix, parse_sweep_table
 from qlandauer.info import temperature_from_nbar, von_neumann_entropy
 from qlandauer.ion import thermal_state
 from qlandauer.linalg import kron
@@ -15,7 +15,6 @@ from qlandauer.protocol import (
     Imperfections,
     find_entropy_zero_crossings,
     format_sweep_table,
-    parse_sweep_table,
     run_erasure,
     simulated_readout_run,
     sweep_temperature,
@@ -267,17 +266,23 @@ class TestSimulatedReadout:
             estimates.append(row.delta_q_estimate)
         assert abs(np.mean(estimates) - ledger.delta_q) < 0.05
 
+    def test_probe_matches_fit_model(self):
+        # a probe's trace is the model the fit inverts, so at n_max 3 (whose
+        # top level |down,3> is dark to the exact blue-sideband trace) the
+        # noiseless fits still recover the exact means
+        row = simulated_readout_run(ExperimentConfig(nbar0=2.0, n_max=3))
+        assert abs(row.fitted_mean_phonon_pre - row.exact_mean_phonon_pre) < 1e-6
+        assert abs(row.fitted_mean_phonon - row.exact_mean_phonon) < 1e-6
+
     def test_detection_error_perturbs_populations_weakly(self):
-        from qlandauer.ion import dephase_qubit
         from qlandauer.readout import (
-            default_n_fit, detection_flip, exact_trace, fit_design_matrix,
-            fit_phonon_populations)
+            default_n_fit, detection_flip, fit_design_matrix, fit_phonon_populations,
+            model_trace)
 
         _, initial, final = run_erasure(DEFAULT)
         times = DEFAULT.readout_times()
         for state, expected_nbar in ((initial, 0.074), (final, 1.074)):
-            probe = dephase_qubit([1.0, 0.0], state.reduced_fock())
-            clean = exact_trace(probe, DEFAULT.pulse, times)
+            clean = model_trace(state.reduced_fock(), DEFAULT.pulse, times)
             flipped = detection_flip(clean, 0.0022)
             a = fit_design_matrix(default_n_fit(expected_nbar), DEFAULT.pulse, times)
             base = fit_phonon_populations(a, clean)

@@ -86,6 +86,10 @@ class TestExactTrace:
                           lambda: fit_design_matrix(2, PULSE, times)):
                 with pytest.raises(ValueError, match="readout times must be finite and >= 0"):
                     build()
+        # a bad time is named before the point count and the detection error
+        for times, epsilon in (([math.nan, 1.0], 0.0), ([math.inf, 1.0, 2.0], 0.5)):
+            with pytest.raises(ValueError, match="readout times must be finite and >= 0"):
+                fit_design_matrix(2, PULSE, times, epsilon)
 
 
 class TestModelTrace:
