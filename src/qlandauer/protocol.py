@@ -271,16 +271,14 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     simplex, and reports fitted vs exact mean phonon numbers, the heat
     estimate from the fits, and the worst-case deviation of the post-erasure
     probe from the exact trace of the correlated post-erasure state.
-    A config whose readout arrays exceed READOUT_CELLS_LIMIT, or whose trace
-    cannot identify the larger fit's n_fit + 1 populations, is rejected
-    before the erasure runs; that check (fit_design_matrix) builds the one
-    design matrix both fits use, each on its leading n_fit + 1 columns.
+    Both probes fit levels 0..n_fit, config.n_fit or else default_n_fit of
+    the effective nbar0.  A config whose readout arrays exceed
+    READOUT_CELLS_LIMIT, or whose trace cannot identify n_fit + 1
+    populations, is rejected before the erasure runs; that check
+    (fit_design_matrix) builds the one design matrix both fits use.
     """
-    nbar = config.effective_nbar0
-    n_fit_pre = config.n_fit if config.n_fit is not None else default_n_fit(nbar)
-    n_fit_post = config.n_fit if config.n_fit is not None else default_n_fit(nbar + 1.0)
-    n_fit_max = max(n_fit_pre, n_fit_post)
-    cells = config.readout_points * (max(config.truncation(), n_fit_max) + 1)
+    n_fit = config.n_fit if config.n_fit is not None else default_n_fit(config.effective_nbar0)
+    cells = config.readout_points * (max(config.truncation(), n_fit) + 1)
     if cells > READOUT_CELLS_LIMIT:
         raise ValueError(
             f"readout_points = {config.readout_points} gives readout arrays of {cells} "
@@ -288,22 +286,20 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         )
     times = config.readout_times()
     eps = config.imperfections.detection_epsilon
-    # The smaller fit's design matrix is a column subset of the larger one's,
-    # so by singular-value interlacing its condition number is no larger.
-    a = fit_design_matrix(n_fit_max, config.pulse, times, eps)
+    a = fit_design_matrix(n_fit, config.pulse, times, eps)
 
     ledger, initial, final = run_erasure(config)
 
-    def probe(clean: np.ndarray, n_fit: int, seed: int):
+    def probe(clean: np.ndarray, seed: int):
         p_down = detection_flip(clean, eps)
         if config.shots > 0:
             p_down = sample_shots(p_down, config.shots, seed)
-        return fit_phonon_populations(a[:, :n_fit + 1], p_down)
+        return fit_phonon_populations(a, p_down)
 
     pre, post = (model_trace(state.reduced_fock(), config.pulse, times)
                  for state in (initial, final))
-    fit_pre = probe(pre, n_fit_pre, config.seed)
-    fit_post = probe(post, n_fit_post, config.seed + 1)
+    fit_pre = probe(pre, config.seed)
+    fit_post = probe(post, config.seed + 1)
     model_error = float(np.max(np.abs(exact_trace(final, config.pulse, times) - post)))
 
     return _ledger_row(

@@ -60,8 +60,8 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
 
     with B the model_trace matrix of levels 0 .. n_max - 1 at t.
     """
-    b, pops = _design_matrix(rho.n_max - 1, p, times), rho.populations
-    return np.clip(b @ pops[0, :-1] + (1.0 - b) @ pops[1, 1:] + pops[0, -1], 0.0, 1.0)
+    b, down, up = _design_matrix(rho.n_max - 1, p, times), *rho.populations
+    return np.clip(b @ (down[:-1] - up[1:]) + up[1:].sum() + down[-1], 0.0, 1.0)
 
 
 def model_trace(populations, p: PulseParams, times) -> np.ndarray:
@@ -162,7 +162,11 @@ def _design_matrix(n_fit: int, p: PulseParams, times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):  # NaN fails both
         raise ValueError("readout times must be finite and >= 0")
-    return (1.0 + np.cos(2.0 * sideband_half_angles(p, n_fit + 1, t[:, None]))) / 2.0
+    a = 2.0 * sideband_half_angles(p, n_fit + 1, t[:, None])
+    np.cos(a, out=a)
+    a += 1.0
+    a /= 2.0
+    return a
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -637,15 +637,15 @@ class TestReadoutAndRun:
             raise AssertionError("erasure ran before the readout check")
 
         monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
-        code, _, err = run_cli(["readout", "--nbar0", "5"], capsys)
+        # n_fit 30 at nbar0 6 is more levels than the default 30 points
+        code, _, err = run_cli(["readout", "--nbar0", "6"], capsys)
         assert code == 1
-        assert "n_fit" in err and "readout_points" in err
+        assert "n_fit" in err and "readout_points" in err and "fewer than" in err
 
     def test_unidentifiable_fit_rejected_before_erasure(self, capsys, monkeypatch):
         # at the default 30 points over 6 t_op the design matrix's condition
-        # number is 265 at n_fit 20 (the post-erasure fit at nbar0 3), 1.67e10
-        # at n_fit 23 (at nbar0 3.5, whose pre-erasure n_fit 18 alone would
-        # pass) and 5e16 at n_fit 29 (at nbar0 4.8)
+        # number is 16.1 at n_fit 15 (nbar0 3), 1.8e6 at 22 (nbar0 4.4),
+        # 1.67e10 at 23 (nbar0 4.5) and 1.06e14 at 24 (nbar0 4.8)
         code, out, err = run_cli(["readout", "--nbar0", "3"], capsys)
         assert code == 0, err
         assert summary_value(out, "fit_converged") == "yes"
@@ -660,7 +660,7 @@ class TestReadoutAndRun:
 
         monkeypatch.setattr(protocol_mod, "run_erasure", no_erasure)
         monkeypatch.setattr(readout_mod, "_simplex_least_squares", no_fit)
-        for nbar0, n_fit in (("3.5", 23), ("4.8", 29)):
+        for nbar0, n_fit in (("4.5", 23), ("4.8", 24)):
             code, out, err = run_cli(["readout", "--nbar0", nbar0], capsys)
             assert code == 1
             assert "condition number" in err and "readout_points" in err

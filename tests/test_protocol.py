@@ -274,6 +274,36 @@ class TestSimulatedReadout:
         assert abs(row.fitted_mean_phonon_pre - row.exact_mean_phonon_pre) < 1e-6
         assert abs(row.fitted_mean_phonon - row.exact_mean_phonon) < 1e-6
 
+    def test_both_probes_fit_one_cutoff(self, monkeypatch):
+        # at nbar0 2 both fits take levels 0..default_n_fit(2) = 10, on the
+        # one matrix fit_design_matrix built and checked
+        import qlandauer.protocol as protocol_mod
+
+        check, fit = protocol_mod.fit_design_matrix, protocol_mod.fit_phonon_populations
+        built, fitted = [], []
+
+        def checking(*args):
+            built.append(check(*args))
+            return built[-1]
+
+        def fitting(a, p_down):
+            fitted.append(a)
+            return fit(a, p_down)
+
+        monkeypatch.setattr(protocol_mod, "fit_design_matrix", checking)
+        monkeypatch.setattr(protocol_mod, "fit_phonon_populations", fitting)
+        simulated_readout_run(dataclasses.replace(DEFAULT, nbar0=2.0))
+        assert [a.shape[1] for a in fitted] == [11, 11]
+        assert len(built) == 1 and all(a is built[0] for a in fitted)
+
+    @pytest.mark.parametrize("nbar", [1.0, 2.0, 3.0])
+    def test_noiseless_heat_estimate(self, nbar):
+        # both fits drop the thermal tail above the same n_fit, so their
+        # truncation biases cancel in the heat
+        row = simulated_readout_run(dataclasses.replace(DEFAULT, nbar0=nbar))
+        exact = row.exact_mean_phonon - row.exact_mean_phonon_pre
+        assert abs(row.delta_q_estimate - exact) < 0.01
+
     def test_detection_error_perturbs_populations_weakly(self):
         from qlandauer.readout import (
             default_n_fit, detection_flip, fit_design_matrix, fit_phonon_populations,
@@ -336,7 +366,7 @@ class TestSimulatedReadout:
                             counted("check", protocol_mod.fit_design_matrix))
         simulated_readout_run(ExperimentConfig(shots=100))
         # one fit_design_matrix call builds and checks the matrix both fits
-        # slice, with the run's one SVD
+        # use, with the run's one SVD
         assert calls == {"svd": 1, "check": 1}
 
 

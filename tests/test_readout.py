@@ -269,7 +269,7 @@ class TestFit:
                                       np.column_stack(columns))
 
     def test_leading_columns_are_the_smaller_matrix(self):
-        # what lets one checked matrix serve fits of every smaller n_fit
+        # adding levels appends columns and leaves the lower levels' untouched
         np.testing.assert_array_equal(fit_design_matrix(20, PULSE, TIMES, 0.0022)[:, :9],
                                       fit_design_matrix(8, PULSE, TIMES, 0.0022))
 
