@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .info import UnitSystem
-from .ion import TRUNCATION_TAIL_TOL, PulseParams, thermal_tail_mass
+from .ion import TRUNCATION_TAIL_TOL, thermal_tail_mass
 from .protocol import (
     NBAR_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
@@ -45,13 +45,12 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 # key -> parser.  Unset keys take the defaults of the ExperimentConfig,
-# PulseParams, Imperfections and UnitSystem field of the same name, and of
-# the *_GRID_DEFAULT sweep grids.
+# Imperfections and UnitSystem field of the same name, and of the
+# *_GRID_DEFAULT sweep grids.
 CONFIG_KEYS = {
     "theta_c": float,
     "nbar0": float,
-    "eta": float,
-    "omega": float,
+    "t_op": float,
     "t_pulse": float,
     "omega_z": float,
     "n_max": int,
@@ -74,15 +73,14 @@ CONFIG_KEYS = {
 # The keys each subcommand reads, hence its flags and its provenance hash.  Sweeps
 # and crossings set theta_c and a pi pulse at the default drive calibration
 # themselves, sweep-temp also nbar0 and a perfect preparation: a pi pulse turns
-# every block through the same angle whatever eta and omega, and theta_c = pi/2
+# every block through the same angle whatever t_op, and theta_c = pi/2
 # dephases to the even mixture whatever init_fidelity, so neither can change
 # their output.
 _ERASURE_KEYS = ("n_max", "init_fidelity", "cool_nbar", "seed")
-_PULSE_KEYS = ("eta", "omega")
-_READOUT_KEYS = ("theta_c", "nbar0", "t_pulse", "shots", "readout_points", "readout_span",
-                 "n_fit", "detection_epsilon", *_PULSE_KEYS, *_ERASURE_KEYS)
+_READOUT_KEYS = ("theta_c", "nbar0", "t_op", "t_pulse", "shots", "readout_points",
+                 "readout_span", "n_fit", "detection_epsilon", *_ERASURE_KEYS)
 COMMAND_KEYS = {
-    "verify": ("theta_c", "nbar0", "t_pulse", "omega_z") + _PULSE_KEYS + _ERASURE_KEYS,
+    "verify": ("theta_c", "nbar0", "t_op", "t_pulse", "omega_z") + _ERASURE_KEYS,
     "sweep-temp": ("nbar_min", "nbar_max", "nbar_points", "n_max", "cool_nbar", "seed"),
     "sweep-theta": ("nbar0", "theta_min", "theta_max", "theta_points") + _ERASURE_KEYS,
     "crossings": ("nbar0",) + _ERASURE_KEYS,
@@ -105,7 +103,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
     for name, keys in COMMAND_KEYS.items():
-        sp = sub.add_parser(name, add_help=True)
+        sp = sub.add_parser(name, add_help=True, allow_abbrev=False)
         sp.add_argument("--config", dest="config_path", default=None,
                         help="flat key = value config file")
         sp.add_argument("--output", "-o", dest="output_path", default=None,
@@ -161,7 +159,7 @@ def load_config(config_path: str | None, overrides: dict,
     """
     base = REALISTIC_IMPERFECTIONS if realistic else Imperfections()
     values = {key: getattr(obj, key)
-              for obj in (ExperimentConfig(), PulseParams(), base, UnitSystem())
+              for obj in (ExperimentConfig(), base, UnitSystem())
               for key in _fields(type(obj))}
     values.update(zip(("nbar_min", "nbar_max", "nbar_points"), NBAR_GRID_DEFAULT))
     values.update(zip(("theta_min", "theta_max", "theta_points"), THETA_GRID_DEFAULT))
@@ -184,7 +182,6 @@ def load_config(config_path: str | None, overrides: dict,
     try:
         UnitSystem(values["omega_z"])
         config = ExperimentConfig(
-            pulse=PulseParams(**{key: values[key] for key in _fields(PulseParams)}),
             imperfections=Imperfections(**{key: values[key] for key in _fields(Imperfections)}),
             **{key: values[key] for key in _fields(ExperimentConfig)},
         )
@@ -254,10 +251,9 @@ def _ledger_pairs(config: ExperimentConfig, values: dict, terms, e_initial: floa
     temperature = terms.temperature
     return [
         ("theta_c", config.theta_c), ("nbar0", config.effective_nbar0),
-        ("pulse_duration_us", config.erasure_time), ("eta", config.pulse.eta),
-        ("omega_rad_per_us", config.pulse.omega), ("n_max", config.truncation()),
-        ("e_initial_q0", e_initial), ("e_final_q0", e_final), ("delta_q_q0", delta_q),
-        ("temperature_t0", temperature), ("lhs", terms.lhs),
+        ("pulse_duration_us", config.erasure_time), ("t_op_us", config.t_op),
+        ("n_max", config.truncation()), ("e_initial_q0", e_initial), ("e_final_q0", e_final),
+        ("delta_q_q0", delta_q), ("temperature_t0", temperature), ("lhs", terms.lhs),
         ("delta_s_nats", terms.delta_s), ("mutual_info_nats", terms.mutual_info),
         ("relative_entropy_nats", terms.relative_entropy), ("rhs", terms.rhs),
         ("residual", terms.residual), *after_residual,

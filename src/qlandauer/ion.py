@@ -9,8 +9,10 @@ n_max_for_nbar.  The dephased qubit and the thermal reservoir are diagonal
 and the red pulse rotates 2x2 pairs (|up,n>, |down,n+1>), so JointState
 holds only those entries and the erasure runs in O(n_max).  The drive has
 no phase, so every pair coherence the pulse makes is i times a real number
-and the state holds that real number.  thermal_state and jc_block_unitary
-build the dense operators the tests use as reference.
+and the state holds that real number.  A drive is set by one calibration,
+the pi-pulse time t_op of sideband block 0: block n turns at
+(pi/t_op)*sqrt(n+1) (sideband_half_angles).  thermal_state and
+jc_block_unitary build the dense operators the tests use as reference.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ import numpy as np
 
 from .linalg import EIGENVALUE_FLOOR, TRACE_TOL, DensityMatrix
 
-# Default drive calibration: Lamb-Dicke parameter 0.09, pi-pulse time 33 us
-# on the first red-sideband block, hence Omega = pi / (eta * t_op).
-ETA_DEFAULT = 0.09
+# Default drive calibration: pi-pulse time (us) of sideband block 0.
 T_OP_DEFAULT = 33.0
-OMEGA_DEFAULT = math.pi / (ETA_DEFAULT * T_OP_DEFAULT)
 # Axial trap frequency, rad/us (omega_z / 2pi = 1.01 MHz).
 OMEGA_Z_DEFAULT = 2.0 * math.pi * 1.01
 
@@ -63,28 +62,6 @@ def thermal_tail_mass(nbar: float, n_max: int) -> float:
     """Thermal probability beyond n_max, sum_{n > n_max} p_n = q^(n_max+1)
     with q = nbar / (1 + nbar); the truncated state renormalises it away."""
     return (nbar / (1.0 + nbar)) ** (n_max + 1)
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    """Drive calibration: Lamb-Dicke eta and Rabi frequency (rad/us).  Drive
-    times are passed to each function that drives.  There is no laser phase:
-    the erasure acts on a dephased qubit and the readout on populations, so
-    no result depends on it."""
-
-    eta: float = ETA_DEFAULT
-    omega: float = OMEGA_DEFAULT
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-
-    @property
-    def t_op(self) -> float:
-        """pi-pulse length on the n = 0 sideband block, pi/(eta*omega)."""
-        return math.pi / (self.eta * self.omega)
 
 
 @dataclass(frozen=True)
@@ -166,24 +143,28 @@ def dephase_qubit(qubit, reservoir) -> JointState:
     return JointState(np.outer(qubit, reservoir), np.zeros(len(reservoir) - 1))
 
 
-def sideband_half_angles(p: PulseParams, blocks: int, t) -> np.ndarray:
-    """Half Rabi angle eta*Omega*sqrt(n+1)*t/2 of sideband blocks n = 0 ..
-    blocks-1 at time t (a column of times gives one row per time)."""
-    return p.eta * p.omega * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
+def sideband_half_angles(t_op: float, blocks: int, t) -> np.ndarray:
+    """Half Rabi angle (pi/t_op)*sqrt(n+1)*t/2 of sideband blocks n = 0 ..
+    blocks-1 at time t (a column of times gives one row per time).  To first
+    order in the Lamb-Dicke parameter, it and the carrier Rabi frequency
+    enter a sideband drive only as their product, pi/t_op."""
+    if not 0 < t_op < math.inf or math.pi / t_op == math.inf:  # NaN fails too
+        raise ValueError(f"t_op must be finite and > 0, with pi/t_op finite, got {t_op}")
+    return math.pi / t_op * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
 
 
-def jc_block_unitary(kind: str, p: PulseParams, n_max: int, t: float) -> np.ndarray:
+def jc_block_unitary(kind: str, t_op: float, n_max: int, t: float) -> np.ndarray:
     """Closed-form sideband evolution exp(-i H t) for time t as a dense matrix.
 
-    The red drive is eta*Omega*(a sigma+ + a† sigma-)/2, the blue drive
-    eta*Omega*(a sigma- + a† sigma+)/2.  Each coupled pair rotates through
+    The red drive is (pi/t_op)*(a sigma+ + a† sigma-)/2, the blue drive
+    (pi/t_op)*(a sigma- + a† sigma+)/2.  Each coupled pair rotates through
     twice sideband_half_angles; dark states pick up no phase: |down,0> and
     |up,n_max> under red, |up,0> and |down,n_max> under blue.
     """
     if kind not in ("red", "blue"):
         raise ValueError(f"kind must be 'red' or 'blue', got {kind!r}")
     d, n = n_max + 1, np.arange(n_max)
-    half_angles = sideband_half_angles(p, n_max, t)
+    half_angles = sideband_half_angles(t_op, n_max, t)
     # coupled pairs: (|down,n+1>, |up,n>) under red, (|up,n+1>, |down,n>) under blue
     target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
     u = np.eye(2 * d, dtype=complex)
@@ -192,11 +173,11 @@ def jc_block_unitary(kind: str, p: PulseParams, n_max: int, t: float) -> np.ndar
     return u
 
 
-def evolve(rho: JointState, p: PulseParams, t: float) -> JointState:
+def evolve(rho: JointState, t_op: float, t: float) -> JointState:
     """Drive the red sideband for time t: U rho U† pair by pair, with
     U = [[c, -i s], [-i s, c]] on (|down,n+1>, |up,n>) and c, s of the
     block's half angle; the dark states are untouched."""
-    half_angles = sideband_half_angles(p, rho.n_max, t)
+    half_angles = sideband_half_angles(t_op, rho.n_max, t)
     c, s = np.cos(half_angles), np.sin(half_angles)
     up, down, y = rho.populations[1, :-1], rho.populations[0, 1:], rho.red_coherences
     cross = 2.0 * c * s * y

@@ -20,8 +20,8 @@ from .info import LandauerLedger, landauer_ledger, temperature_from_nbar
 from .ion import (
     N_MAX_FLOOR,
     N_MAX_LIMIT,
+    T_OP_DEFAULT,
     JointState,
-    PulseParams,
     dephase_qubit,
     evolve,
     n_max_for_nbar,
@@ -77,24 +77,25 @@ REALISTIC_IMPERFECTIONS = Imperfections(
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One erasure experiment: preparation angle, reservoir occupation, the
-    drive calibration (the erasure and the readout use the same one), the
-    erasure pulse length, truncation, readout settings, imperfections.
-    Validated on construction and on replace."""
+    drive calibration t_op (the pi-pulse time of sideband block 0; the
+    erasure and the readout use the same drive), the erasure pulse length,
+    truncation, readout settings, imperfections.  Validated on construction
+    and on replace."""
 
     theta_c: float = math.pi / 2
     nbar0: float = 0.074
-    pulse: PulseParams = PulseParams()
+    t_op: float = T_OP_DEFAULT
     t_pulse: float | None = None        # None -> the pi pulse t_op
     n_max: int | None = None            # None -> automatic sizing from nbar0
     shots: int = 0                      # 0 -> noiseless sentinel
     seed: int = 2024
     readout_points: int = 30
-    readout_span: float | None = None   # None -> 6 * t_op of the pulse
+    readout_span: float | None = None   # None -> 6 * t_op
     n_fit: int | None = None            # None -> default_n_fit rule
     imperfections: Imperfections = Imperfections()
 
     def __post_init__(self):
-        for part in (self, self.pulse, self.imperfections):
+        for part in (self, self.imperfections):
             for name, value in vars(part).items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
@@ -102,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
+        if self.t_op <= 0:
+            raise ValueError(f"t_op must be > 0, got {self.t_op}")
         if self.t_pulse is not None and self.t_pulse < 0:
             raise ValueError(f"t_pulse must be >= 0, got {self.t_pulse}")
         if self.shots < 0:
@@ -120,7 +123,7 @@ class ExperimentConfig:
     @property
     def erasure_time(self) -> float:
         """Length of the red-sideband erasure pulse, us."""
-        return self.pulse.t_op if self.t_pulse is None else self.t_pulse
+        return self.t_op if self.t_pulse is None else self.t_pulse
 
     @property
     def effective_nbar0(self) -> float:
@@ -134,7 +137,7 @@ class ExperimentConfig:
     def readout_times(self) -> np.ndarray:
         span = self.readout_span
         if span is None:
-            span = 6.0 * self.pulse.t_op
+            span = 6.0 * self.t_op
         return np.linspace(0.0, span, self.readout_points)
 
 
@@ -177,7 +180,7 @@ def run_erasure(config: ExperimentConfig) -> tuple[LandauerLedger, JointState, J
     qubit = [c * fidelity * c + s * (1.0 - fidelity) * s,
              s * fidelity * s + c * (1.0 - fidelity) * c]
     initial = dephase_qubit(qubit, np.exp(thermal_log_weights(nbar, config.truncation())))
-    final = evolve(initial, config.pulse, config.erasure_time)
+    final = evolve(initial, config.t_op, config.erasure_time)
     return landauer_ledger(initial, final, nbar), initial, final
 
 
@@ -192,9 +195,9 @@ def _ledger_row(variable: str, value: float, config: ExperimentConfig,
 
 def _pi_pulse(config: ExperimentConfig) -> ExperimentConfig:
     """config erased by the pi pulse at the default drive calibration.  The
-    pi pulse turns block n through pi*sqrt(n+1)/2 whatever eta and omega, so
-    fixing them changes no result and makes it bit-reproducible."""
-    return dataclasses.replace(config, pulse=PulseParams(), t_pulse=None)
+    pi pulse turns block n through pi*sqrt(n+1)/2 whatever t_op, so fixing
+    it changes no result and makes it bit-reproducible."""
+    return dataclasses.replace(config, t_op=T_OP_DEFAULT, t_pulse=None)
 
 
 def sweep_temperature(config: ExperimentConfig, nbar_list) -> list[SweepRow]:
@@ -286,7 +289,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         )
     times = config.readout_times()
     eps = config.imperfections.detection_epsilon
-    a = fit_design_matrix(n_fit, config.pulse, times, eps)
+    a = fit_design_matrix(n_fit, config.t_op, times, eps)
 
     ledger, initial, final = run_erasure(config)
 
@@ -296,11 +299,11 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
             p_down = sample_shots(p_down, config.shots, seed)
         return fit_phonon_populations(a, p_down)
 
-    pre, post = (model_trace(state.reduced_fock(), config.pulse, times)
+    pre, post = (model_trace(state.reduced_fock(), config.t_op, times)
                  for state in (initial, final))
     fit_pre = probe(pre, config.seed)
     fit_post = probe(post, config.seed + 1)
-    model_error = float(np.max(np.abs(exact_trace(final, config.pulse, times) - post)))
+    model_error = float(np.max(np.abs(exact_trace(final, config.t_op, times) - post)))
 
     return _ledger_row(
         "theta_c", config.theta_c, config, ledger,

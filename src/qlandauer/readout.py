@@ -3,7 +3,7 @@
 A blue-sideband pulse of variable length maps phonon populations onto the
 qubit excitation probability; the populations are then recovered from the
 time trace by least squares over the probability simplex, with the sideband
-frequencies eta*Omega*sqrt(n+1) and the detection error held fixed
+frequencies (pi/t_op)*sqrt(n+1) and the detection error held fixed
 (calibrated, not fitted).  fit_design_matrix builds the design matrix and
 refuses one that cannot identify the populations; fit_phonon_populations
 solves on the matrix it is given.  A trace is a plain array of qubit-down
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import reservoir_energy
-from .ion import JointState, PulseParams, sideband_half_angles
+from .ion import JointState, sideband_half_angles
 
 FIT_MAX_ITERATIONS = 100_000
 FIT_OBJECTIVE_TOL = 1e-14
@@ -48,7 +48,7 @@ def default_n_fit(nbar_expected: float) -> int:
     return max(8, math.ceil(5.0 * nbar_expected))
 
 
-def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
+def exact_trace(rho: JointState, t_op: float, times) -> np.ndarray:
     """Noiseless qubit-down population under the blue sideband, per time.
 
     The blue drive rotates the pairs (|down,n>, |up,n+1>) (|down,n_max> is
@@ -60,19 +60,19 @@ def exact_trace(rho: JointState, p: PulseParams, times) -> np.ndarray:
 
     with B the model_trace matrix of levels 0 .. n_max - 1 at t.
     """
-    b, down, up = _design_matrix(rho.n_max - 1, p, times), *rho.populations
+    b, down, up = _design_matrix(rho.n_max - 1, t_op, times), *rho.populations
     return np.clip(b @ (down[:-1] - up[1:]) + up[1:].sum() + down[-1], 0.0, 1.0)
 
 
-def model_trace(populations, p: PulseParams, times) -> np.ndarray:
+def model_trace(populations, t_op: float, times) -> np.ndarray:
     """Incoherent-sum model trace for a qubit starting in |down>:
 
-        p_down(t) = sum_n p_n [1 + cos(eta*Omega*sqrt(n+1) t)] / 2
+        p_down(t) = sum_n p_n [1 + cos(pi*sqrt(n+1) t / t_op)] / 2
     """
     pops = np.asarray(populations, dtype=float)
     if not (np.all(pops >= -1e-12) and abs(pops.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("populations must be a probability vector")
-    a = _design_matrix(len(pops) - 1, p, times)
+    a = _design_matrix(len(pops) - 1, t_op, times)
     return np.clip(a @ pops, 0.0, 1.0)
 
 
@@ -91,7 +91,7 @@ def detection_flip(p_down: np.ndarray, epsilon: float) -> np.ndarray:
     return (1.0 - epsilon) * p_down + epsilon * (1.0 - p_down)
 
 
-def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -> np.ndarray:
+def fit_design_matrix(n_fit: int, t_op: float, times, epsilon: float = 0.0) -> np.ndarray:
     """The fit's design matrix, refused unless it identifies n_fit + 1 populations.
 
     Row k, column n is the down probability of Fock level n at times[k] as
@@ -107,11 +107,11 @@ def fit_design_matrix(n_fit: int, p: PulseParams, times, epsilon: float = 0.0) -
     information and no trace identifies anything.  Each case raises
     ValueError naming n_fit, the point count, the span, detection_epsilon
     and the condition number; an n_fit below 1 is refused first, then a
-    negative or non-finite time.
+    negative or non-finite time, then a bad t_op.
     """
     if n_fit < 1:
         raise ValueError(f"n_fit must be >= 1, got {n_fit}")
-    a = detection_flip(_design_matrix(n_fit, p, times), epsilon)
+    a = detection_flip(_design_matrix(n_fit, t_op, times), epsilon)
     n_points = len(a)
     where = (f"a fit of n_fit = {n_fit} is not identifiable from readout_points = {n_points} "
              f"over readout_span = {np.max(times, initial=0.0):.6g} us at detection_epsilon = "
@@ -158,11 +158,11 @@ def fit_phonon_populations(a: np.ndarray, p_down) -> PhononFit:
     )
 
 
-def _design_matrix(n_fit: int, p: PulseParams, times) -> np.ndarray:
+def _design_matrix(n_fit: int, t_op: float, times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):  # NaN fails both
         raise ValueError("readout times must be finite and >= 0")
-    a = 2.0 * sideband_half_angles(p, n_fit + 1, t[:, None])
+    a = 2.0 * sideband_half_angles(t_op, n_fit + 1, t[:, None])
     np.cos(a, out=a)
     a += 1.0
     a /= 2.0

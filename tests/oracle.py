@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlandauer.info import von_neumann_entropy
-from qlandauer.ion import PulseParams, jc_block_unitary, thermal_state
+from qlandauer.ion import jc_block_unitary, thermal_state
 from qlandauer.linalg import DensityMatrix, kron, partial_trace
 from qlandauer.protocol import SWEEP_COLUMNS, SweepRow
 
@@ -56,28 +56,28 @@ def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def _sideband_hamiltonian(kind: str, p: PulseParams, n_max: int) -> np.ndarray:
+def _sideband_hamiltonian(kind: str, t_op: float, n_max: int) -> np.ndarray:
     d = n_max + 1
     h = np.zeros((2 * d, 2 * d), dtype=complex)
     for n in range(n_max):
         # red: <down,n+1|H|up,n> = g; blue: <up,n+1|H|down,n> = g
         target, source = (n + 1, d + n) if kind == "red" else (d + n + 1, n)
-        h[target, source] = h[source, target] = p.eta * p.omega * math.sqrt(n + 1) / 2.0
+        h[target, source] = h[source, target] = math.pi / t_op * math.sqrt(n + 1) / 2.0
     return h
 
 
-def red_sideband_hamiltonian(p: PulseParams, n_max: int) -> np.ndarray:
-    """eta*Omega*(a sigma+ + a† sigma-)/2 on the joint space.
+def red_sideband_hamiltonian(t_op: float, n_max: int) -> np.ndarray:
+    """(pi/t_op)*(a sigma+ + a† sigma-)/2 on the joint space.
 
     |down,0> is dark; |up,n_max> is dark because the truncated raising
     operator annihilates |n_max>.
     """
-    return _sideband_hamiltonian("red", p, n_max)
+    return _sideband_hamiltonian("red", t_op, n_max)
 
 
-def blue_sideband_hamiltonian(p: PulseParams, n_max: int) -> np.ndarray:
-    """eta*Omega*(a sigma- + a† sigma+)/2; |up,0> is dark."""
-    return _sideband_hamiltonian("blue", p, n_max)
+def blue_sideband_hamiltonian(t_op: float, n_max: int) -> np.ndarray:
+    """(pi/t_op)*(a sigma- + a† sigma+)/2; |up,0> is dark."""
+    return _sideband_hamiltonian("blue", t_op, n_max)
 
 
 def carrier_rotation(theta_c: float) -> np.ndarray:
@@ -146,7 +146,7 @@ def dense_erasure(config) -> tuple[DensityMatrix, DensityMatrix]:
     qubit = u_c @ np.diag([fidelity, 1.0 - fidelity]) @ u_c.conj().T
     m = kron(qubit, thermal_state(config.effective_nbar0, n_max).matrix)
     m[:d, d:] = m[d:, :d] = 0.0
-    u = jc_block_unitary("red", config.pulse, n_max, config.erasure_time)
+    u = jc_block_unitary("red", config.t_op, n_max, config.erasure_time)
     return DensityMatrix(m), DensityMatrix(u @ m @ u.conj().T)
 
 
@@ -163,12 +163,12 @@ def dense_ledger(initial: DensityMatrix, final: DensityMatrix, nbar0: float) -> 
     }
 
 
-def dense_blue_trace(rho: DensityMatrix, p: PulseParams, times) -> np.ndarray:
+def dense_blue_trace(rho: DensityMatrix, t_op: float, times) -> np.ndarray:
     """Qubit-down population under the blue sideband, one dense unitary per time."""
     n_max = rho.dim // 2 - 1
     values = np.empty(len(times))
     for i, t in enumerate(times):
-        down_rows = jc_block_unitary("blue", p, n_max, float(t))[:n_max + 1]
+        down_rows = jc_block_unitary("blue", t_op, n_max, float(t))[:n_max + 1]
         values[i] = np.einsum("ij,jk,ik->", down_rows, rho.matrix, down_rows.conj()).real
     return values
 

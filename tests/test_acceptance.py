@@ -14,7 +14,7 @@ import pytest
 from oracle import blue_sideband_hamiltonian, expm_i_hermitian, red_sideband_hamiltonian
 from qlandauer.cli import parse_and_dispatch
 from qlandauer.info import temperature_from_nbar
-from qlandauer.ion import PulseParams, jc_block_unitary, n_max_for_nbar
+from qlandauer.ion import jc_block_unitary, n_max_for_nbar
 from qlandauer.protocol import (
     ExperimentConfig,
     find_entropy_zero_crossings,
@@ -38,7 +38,7 @@ def report(number: int, name: str, ok: bool) -> None:
 @pytest.fixture(scope="module")
 def equality_grid():
     """Every ledger over the full theta x nbar x duration grid, timed."""
-    t_op = DEFAULT.pulse.t_op
+    t_op = DEFAULT.t_op
     start = time.perf_counter()
     ledgers = []
     for theta in THETA_GRID:
@@ -98,10 +98,8 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(100):
-        p = PulseParams(
-            eta=float(rng.uniform(0.02, 0.3)),
-            omega=float(rng.uniform(0.2, 3.0)),
-        )
+        # a calibration drawn as (eta, Omega) is the pi-pulse time pi/(eta Omega)
+        t_op = math.pi / (float(rng.uniform(0.02, 0.3)) * float(rng.uniform(0.2, 3.0)))
         rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
         t = float(rng.uniform(0.0, 150.0))
         n_max = int(rng.integers(1, 10))
@@ -109,8 +107,8 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
             ("red", red_sideband_hamiltonian) if rng.integers(2) == 0
             else ("blue", blue_sideband_hamiltonian))
         diff = np.linalg.norm(
-            jc_block_unitary(kind, p, n_max, t)
-            - expm_i_hermitian(builder(p, n_max), t), 2)
+            jc_block_unitary(kind, t_op, n_max, t)
+            - expm_i_hermitian(builder(t_op, n_max), t), 2)
         worst = max(worst, diff)
     ok = worst < 1e-10
     print(f"  [worst operator-norm difference over 100 draws: {worst:.3e}]")
@@ -119,16 +117,16 @@ def test_criterion_6_closed_form_vs_matrix_exponential():
 
 def test_criterion_7_readout_round_trip_and_monte_carlo():
     start = time.perf_counter()
-    pulse = DEFAULT.pulse
+    t_op = DEFAULT.t_op
     times = DEFAULT.readout_times()
 
     # noiseless: any 4-support distribution returns within 1e-6 elementwise
     rng = np.random.default_rng(123)
-    a = fit_design_matrix(4, pulse, times)
+    a = fit_design_matrix(4, t_op, times)
     worst = 0.0
     for _ in range(25):
         pops = np.append(rng.dirichlet(np.ones(4)), 0.0)
-        p_down = model_trace(pops, pulse, times)
+        p_down = model_trace(pops, t_op, times)
         fit = fit_phonon_populations(a, p_down)
         worst = max(worst, float(np.max(np.abs(fit.populations - pops))))
     round_trip_ok = worst < 1e-6
@@ -141,8 +139,8 @@ def test_criterion_7_readout_round_trip_and_monte_carlo():
     pops = np.array(thermal_state(nbar, n_max).matrix.diagonal().real)
     pops /= pops.sum()
     truth = float(np.dot(np.arange(len(pops)), pops))
-    clean = model_trace(pops, pulse, times)
-    a = fit_design_matrix(3, pulse, times)
+    clean = model_trace(pops, t_op, times)
+    a = fit_design_matrix(3, t_op, times)
     estimates = []
     for seed in range(50):
         noisy = sample_shots(clean, 100, seed)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracle import dense_blue_trace, dense_erasure, dense_ledger, dense_matrix, dense_reduced
 from qlandauer.info import temperature_from_nbar
-from qlandauer.ion import JointState, PulseParams, dephase_qubit
+from qlandauer.ion import T_OP_DEFAULT, JointState, dephase_qubit
 from qlandauer.linalg import EIGENVALUE_FLOOR, DensityMatrix, kron
 from qlandauer.protocol import ExperimentConfig, Imperfections, run_erasure
 from qlandauer.readout import exact_trace
@@ -22,10 +22,8 @@ DOWN = np.diag([1.0, 0.0])
 
 
 def experiment(theta, nbar0, t_factor, fidelity, n_max=None):
-    pulse = PulseParams()
     return ExperimentConfig(
-        theta_c=theta, nbar0=nbar0, n_max=n_max,
-        pulse=pulse, t_pulse=t_factor * pulse.t_op,
+        theta_c=theta, nbar0=nbar0, n_max=n_max, t_pulse=t_factor * T_OP_DEFAULT,
         imperfections=Imperfections(init_fidelity=fidelity))
 
 
@@ -60,14 +58,14 @@ def test_block_core_matches_dense_oracle(theta, nbar0, t_factor, fidelity, phi, 
             assert abs(getattr(ledger, key) - value) <= 1e-12, key
 
     times = cfg.readout_times()
-    np.testing.assert_allclose(exact_trace(final, cfg.pulse, times),
-                               dense_blue_trace(dense_final, cfg.pulse, times),
+    np.testing.assert_allclose(exact_trace(final, cfg.t_op, times),
+                               dense_blue_trace(dense_final, cfg.t_op, times),
                                rtol=0, atol=1e-12)
     for state, dense in ((initial, dense_initial), (final, dense_final)):
         probe = dephase_qubit([1.0, 0.0], state.reduced_fock())
         dense_probe = DensityMatrix(kron(DOWN, dense_reduced(dense, "B").matrix))
-        np.testing.assert_allclose(exact_trace(probe, cfg.pulse, times),
-                                   dense_blue_trace(dense_probe, cfg.pulse, times),
+        np.testing.assert_allclose(exact_trace(probe, cfg.t_op, times),
+                                   dense_blue_trace(dense_probe, cfg.t_op, times),
                                    rtol=0, atol=1e-12)
 
 
@@ -161,7 +159,7 @@ def test_erasure_holds_no_dense_array():
     tracemalloc.start()
     try:
         _, _, final = run_erasure(cfg)
-        exact_trace(final, cfg.pulse, cfg.readout_times())
+        exact_trace(final, cfg.t_op, cfg.readout_times())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -25,7 +25,7 @@ FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
 # A valid value other than the default for every config key.
 NON_DEFAULT = {
-    "theta_c": 1.0, "nbar0": 0.3, "eta": 0.1, "omega": 1.0, "t_pulse": 10.0,
+    "theta_c": 1.0, "nbar0": 0.3, "t_op": 30.0, "t_pulse": 10.0,
     "omega_z": 7.0, "n_max": 40, "shots": 7, "seed": 11, "readout_points": 40,
     "readout_span": 150.0, "n_fit": 9,
     "init_fidelity": 0.99, "detection_epsilon": 0.001, "cool_nbar": 0.01,
@@ -35,12 +35,12 @@ NON_DEFAULT = {
 
 # For each key, a value that changes the output of every command taking it,
 # and the other keys (set where a command takes them) it needs for that:
-# eta and omega act only off the pi pulse, init_fidelity only off theta_c =
-# pi/2, n_max only where the thermal tail it cuts is large, seed only with
-# shots.
+# t_op acts only off the pi pulse (at the pi pulse and the default span it
+# only rescales time), init_fidelity only off theta_c = pi/2, n_max only
+# where the thermal tail it cuts is large, seed only with shots.
 WITNESSES = {
     "theta_c": ("1.0", {}), "nbar0": ("0.3", {}), "t_pulse": ("20", {}),
-    "eta": ("0.1", {"t_pulse": "20"}), "omega": ("1.2", {"t_pulse": "20"}),
+    "t_op": ("30", {"t_pulse": "20"}),
     "omega_z": ("7.0", {}), "n_max": ("3", {"nbar0": "0.5"}), "shots": ("100", {}),
     "seed": ("7", {"shots": "100"}), "readout_points": ("40", {}),
     "readout_span": ("150", {}), "n_fit": ("9", {}),
@@ -174,10 +174,12 @@ class TestVerify:
         assert "t_pulse must be >= 0" in err
         assert out == ""
 
-    def test_zero_eta_names_key(self, capsys):
-        code, _, err = run_cli(["verify", "--eta", "0"], capsys)
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-310"])
+    def test_bad_t_op_names_key(self, value, capsys):
+        code, out, err = run_cli(["verify", "--t-op", value], capsys)
         assert code == 1
-        assert "eta" in err
+        assert "t_op must be" in err and "Traceback" not in err
+        assert out == ""
 
     def test_defaults_report_tail_mass(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
@@ -256,9 +258,9 @@ class TestArgumentValidation:
         ["verify", "--nbar-min", "1"],
         ["crossings", "--shots", "7"],
         ["readout", "--omega-z", "1"],
-        *([command, "--phi", "0.9"] for command in COMMAND_KEYS),
-        *([command, f"--{key}", "0.1"] for command in ("sweep-temp", "sweep-theta", "crossings")
-          for key in ("eta", "omega")),
+        *([command, removed, "0.9"] for command in COMMAND_KEYS
+          for removed in ("--phi", "--eta", "--omega")),
+        *([command, "--t-op", "30"] for command in ("sweep-temp", "sweep-theta", "crossings")),
         ["sweep-temp", "--init-fidelity", "0.9"],
     ])
     def test_flag_not_taken_by_subcommand(self, argv, capsys):
@@ -285,10 +287,8 @@ class TestConfigFile:
         path.write_text("", encoding="utf-8")
         code, out, _ = run_cli(["verify", "--config", str(path)], capsys)
         assert code == 0
-        assert float(summary_value(out, "eta")) == 0.09
-        assert abs(float(summary_value(out, "omega_rad_per_us"))
-                   - math.pi / (0.09 * 33.0)) < 1e-12
-        assert abs(float(summary_value(out, "pulse_duration_us")) - 33.0) < 1e-9
+        assert float(summary_value(out, "t_op_us")) == 33.0
+        assert float(summary_value(out, "pulse_duration_us")) == 33.0
         assert float(summary_value(out, "nbar0")) == 0.074
 
     def test_file_values_and_comments(self, tmp_path):
@@ -465,7 +465,7 @@ class TestSweepCommands:
 
 
 LEDGER_KEYS = [
-    "theta_c", "nbar0", "pulse_duration_us", "eta", "omega_rad_per_us", "n_max",
+    "theta_c", "nbar0", "pulse_duration_us", "t_op_us", "n_max",
     "e_initial_q0", "e_final_q0", "delta_q_q0", "temperature_t0", "lhs", "delta_s_nats",
     "mutual_info_nats", "relative_entropy_nats", "rhs", "residual",
 ]
@@ -575,19 +575,23 @@ class TestReadoutAndRun:
         assert abs(fitted - exact) < 1e-3
 
     def test_removed_decay_keys_refused_by_name(self, tmp_path, capsys):
-        # the decay-envelope keys are gone: as flags or in a config file they
-        # are refused by name before anything runs
-        code, out, err = run_cli(["readout", "--gamma0", "0.001", "--decay-alpha", "1000"],
-                                 capsys)
-        assert code == 1
-        assert "--gamma0" in err and "--decay-alpha" in err and "Traceback" not in err
-        assert out == ""
-        path = tmp_path / "decay.cfg"
-        path.write_text("decay_alpha = 1000\n", encoding="utf-8")
-        code, out, err = run_cli(["readout", "--config", str(path)], capsys)
-        assert code == 1
-        assert "unknown config key 'decay_alpha'" in err
-        assert out == ""
+        # the decay-envelope keys and the drive's eta and omega (one t_op
+        # replaces them) are gone: as flags or in a config file they are
+        # refused by name before anything runs
+        for argv, key, value in (
+                (["readout", "--gamma0", "0.001", "--decay-alpha", "1000"], "decay_alpha", "1000"),
+                (["verify", "--eta", "0.09"], "eta", "0.09"),
+                (["run", "--omega", "1.0"], "omega", "1.0")):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert all(arg in err for arg in argv[1::2]) and "Traceback" not in err
+            assert out == ""
+            path = tmp_path / "removed.cfg"
+            path.write_text(f"{key} = {value}\n", encoding="utf-8")
+            code, out, err = run_cli([argv[0], "--config", str(path)], capsys)
+            assert code == 1
+            assert f"unknown config key '{key}'" in err
+            assert out == ""
 
     def test_readout_arrays_above_limit_name_key(self, capsys, monkeypatch):
         import qlandauer.protocol as protocol_mod

@@ -21,7 +21,6 @@ from qlandauer.info import (
 from qlandauer.ion import (
     T_OP_DEFAULT,
     JointState,
-    PulseParams,
     dephase_qubit,
     evolve,
     n_max_for_nbar,
@@ -43,7 +42,7 @@ def product_state(theta_c, nbar, n_max):
 
 def erase(theta_c, nbar, t=T_OP_DEFAULT):
     initial = product_state(theta_c, nbar, n_max_for_nbar(nbar))
-    return initial, evolve(initial, PulseParams(), t)
+    return initial, evolve(initial, T_OP_DEFAULT, t)
 
 
 class TestVonNeumannEntropy:
@@ -227,7 +226,7 @@ class TestLandauerLedger:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi / 2, 2.8])
     @pytest.mark.parametrize("t_factor", [0.0, 0.5, 1.0])
     def test_equality_on_subgrid(self, nbar, theta, t_factor):
-        initial, final = erase(theta, nbar, t=t_factor * PulseParams().t_op)
+        initial, final = erase(theta, nbar, t=t_factor * T_OP_DEFAULT)
         ledger = landauer_ledger(initial, final, nbar)
         assert abs(ledger.residual) < 1e-9
         assert ledger.lhs - ledger.delta_s >= -1e-10  # Landauer bound

@@ -15,17 +15,15 @@ from oracle import (
 from qlandauer.info import mutual_information
 from qlandauer.linalg import EIGENVALUE_FLOOR, kron
 from qlandauer.ion import (
-    ETA_DEFAULT,
     N_MAX_LIMIT,
-    OMEGA_DEFAULT,
     T_OP_DEFAULT,
     TRUNCATION_TAIL_TOL,
     JointState,
-    PulseParams,
     dephase_qubit,
     evolve,
     jc_block_unitary,
     n_max_for_nbar,
+    sideband_half_angles,
     thermal_log_weights,
     thermal_tail_mass,
     thermal_state,
@@ -50,7 +48,7 @@ def random_joint_state(rng, n_max):
     i y_n -> -i y_n share a spectrum): every population and y_n is generic."""
     product = dephase_qubit(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(n_max + 1)))
     sign = rng.choice((-1.0, 1.0), n_max)
-    pulsed = evolve(product, PulseParams(), float(rng.uniform(0.0, 100.0)))
+    pulsed = evolve(product, T_OP_DEFAULT, float(rng.uniform(0.0, 100.0)))
     return JointState(pulsed.populations, pulsed.red_coherences * sign)
 
 
@@ -198,49 +196,44 @@ class TestDephase:
 class TestSidebandHamiltonians:
     def test_red_matrix_element_with_phase(self):
         # the drive carries no phase: the element is real and positive
-        p = PulseParams()
         n_max = 3
-        h = red_sideband_hamiltonian(p, n_max)
+        h = red_sideband_hamiltonian(T_OP_DEFAULT, n_max)
         down1 = basis_state(n_max, 0, 1)
         up0 = basis_state(n_max, 1, 0)
         element = down1.conj() @ h @ up0
         assert element.imag == 0.0
-        assert abs(element - p.eta * p.omega / 2) < 1e-14
+        assert abs(element - math.pi / T_OP_DEFAULT / 2) < 1e-14
 
     def test_blue_matrix_element_with_phase(self):
         # the drive carries no phase: the element is real and positive
-        p = PulseParams()
         n_max = 3
-        h = blue_sideband_hamiltonian(p, n_max)
+        h = blue_sideband_hamiltonian(T_OP_DEFAULT, n_max)
         up1 = basis_state(n_max, 1, 1)
         down0 = basis_state(n_max, 0, 0)
         element = up1.conj() @ h @ down0
         assert element.imag == 0.0
-        assert abs(element - p.eta * p.omega / 2) < 1e-14
+        assert abs(element - math.pi / T_OP_DEFAULT / 2) < 1e-14
 
     def test_dark_states(self):
-        p = PulseParams()
         n_max = 4
-        h_red = red_sideband_hamiltonian(p, n_max)
-        h_blue = blue_sideband_hamiltonian(p, n_max)
+        h_red = red_sideband_hamiltonian(T_OP_DEFAULT, n_max)
+        h_blue = blue_sideband_hamiltonian(T_OP_DEFAULT, n_max)
         assert np.max(np.abs(h_red @ basis_state(n_max, 0, 0))) == 0.0
         assert np.max(np.abs(h_red @ basis_state(n_max, 1, n_max))) == 0.0
         assert np.max(np.abs(h_blue @ basis_state(n_max, 1, 0))) == 0.0
         assert np.max(np.abs(h_blue @ basis_state(n_max, 0, n_max))) == 0.0
 
     def test_hermiticity(self):
-        p = PulseParams()
         for kind in (red_sideband_hamiltonian, blue_sideband_hamiltonian):
-            h = kind(p, 6)
+            h = kind(T_OP_DEFAULT, 6)
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_sqrt_n_scaling(self):
-        p = PulseParams()
         n_max = 5
-        h = red_sideband_hamiltonian(p, n_max)
+        h = red_sideband_hamiltonian(T_OP_DEFAULT, n_max)
         for n in range(n_max):
             element = basis_state(n_max, 0, n + 1).conj() @ h @ basis_state(n_max, 1, n)
-            assert abs(element - p.eta * p.omega * math.sqrt(n + 1) / 2) < 1e-14
+            assert abs(element - math.pi / T_OP_DEFAULT * math.sqrt(n + 1) / 2) < 1e-14
 
 
 class TestJcBlockUnitary:
@@ -248,21 +241,19 @@ class TestJcBlockUnitary:
         n_max = 4
         for kind in ("red", "blue"):
             np.testing.assert_array_equal(
-                jc_block_unitary(kind, PulseParams(), n_max, 0.0), np.eye(2 * (n_max + 1)))
+                jc_block_unitary(kind, T_OP_DEFAULT, n_max, 0.0), np.eye(2 * (n_max + 1)))
 
     def test_pi_pulse_full_transfer(self):
-        p = PulseParams()
         n_max = 4
-        u = jc_block_unitary("red", p, n_max, p.t_op)  # t_op = pi/(eta*omega)
+        u = jc_block_unitary("red", T_OP_DEFAULT, n_max, T_OP_DEFAULT)
         out = u @ basis_state(n_max, 1, 0)
         prob_down1 = abs(out[1]) ** 2  # |down,1>
         assert abs(prob_down1 - 1.0) < 1e-12
 
     def test_second_block_transfer_probability(self):
         # block angle pi*sqrt(2) => transfer sin^2(pi*sqrt(2)/2)
-        p = PulseParams()
         n_max = 4
-        u = jc_block_unitary("red", p, n_max, p.t_op)
+        u = jc_block_unitary("red", T_OP_DEFAULT, n_max, T_OP_DEFAULT)
         out = u @ basis_state(n_max, 1, 1)
         expected = math.sin(math.pi * math.sqrt(2) / 2) ** 2
         assert abs(abs(out[2]) ** 2 - expected) < 1e-12  # |down,2>
@@ -270,10 +261,8 @@ class TestJcBlockUnitary:
     def test_matches_matrix_exponential_for_random_params(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            p = PulseParams(
-                eta=float(rng.uniform(0.02, 0.3)),
-                omega=float(rng.uniform(0.2, 3.0)),
-            )
+            # a calibration drawn as (eta, Omega) is the pi-pulse time pi/(eta Omega)
+            t_op = math.pi / (float(rng.uniform(0.02, 0.3)) * float(rng.uniform(0.2, 3.0)))
             rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
             t = float(rng.uniform(0.0, 120.0))
             n_max = int(rng.integers(1, 9))
@@ -281,45 +270,43 @@ class TestJcBlockUnitary:
                 ("red", red_sideband_hamiltonian),
                 ("blue", blue_sideband_hamiltonian),
             ):
-                u_closed = jc_block_unitary(kind, p, n_max, t)
-                u_expm = expm_i_hermitian(builder(p, n_max), t)
+                u_closed = jc_block_unitary(kind, t_op, n_max, t)
+                u_expm = expm_i_hermitian(builder(t_op, n_max), t)
                 assert np.linalg.norm(u_closed - u_expm, 2) < 1e-10
 
     def test_blue_rabi_from_down_ground(self):
-        p = PulseParams()
         n_max = 3
         for t in np.linspace(0.0, 4 * T_OP_DEFAULT, 17):
-            u = jc_block_unitary("blue", p, n_max, float(t))
+            u = jc_block_unitary("blue", T_OP_DEFAULT, n_max, float(t))
             out = u @ basis_state(n_max, 0, 0)
             p_down = abs(out[0]) ** 2
-            expected = (1 + math.cos(p.eta * p.omega * t)) / 2
+            expected = (1 + math.cos(math.pi / T_OP_DEFAULT * t)) / 2
             assert abs(p_down - expected) < 1e-12
 
     def test_red_never_leaves_down_ground(self):
-        p = PulseParams()
         n_max = 5
         for t in np.linspace(0.0, 5 * T_OP_DEFAULT, 13):
-            u = jc_block_unitary("red", p, n_max, float(t))
+            u = jc_block_unitary("red", T_OP_DEFAULT, n_max, float(t))
             out = u @ basis_state(n_max, 0, 0)
             assert abs(abs(out[0]) ** 2 - 1.0) < 1e-12
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            jc_block_unitary("green", PulseParams(), 2, 1.0)
+            jc_block_unitary("green", T_OP_DEFAULT, 2, 1.0)
 
 
 class TestEvolve:
     def test_identity(self):
         rng = np.random.default_rng(12)
         rho = random_joint_state(rng, 3)
-        out = evolve(rho, PulseParams(), 0.0)
+        out = evolve(rho, T_OP_DEFAULT, 0.0)
         np.testing.assert_allclose(out.populations, rho.populations, atol=1e-15)
         np.testing.assert_allclose(out.red_coherences, rho.red_coherences, atol=1e-15)
 
     def test_spectrum_and_purity_preserved(self):
         rng = np.random.default_rng(13)
         rho = random_joint_state(rng, 3)
-        out = evolve(rho, PulseParams(), 17.0)
+        out = evolve(rho, T_OP_DEFAULT, 17.0)
         np.testing.assert_allclose(np.sort(out.spectrum), np.sort(rho.spectrum), atol=1e-12)
         np.testing.assert_allclose(
             np.sort(out.spectrum), np.linalg.eigvalsh(dense_matrix(out)), atol=1e-12)
@@ -331,11 +318,11 @@ class TestEvolve:
         for _ in range(20):
             n_max = int(rng.integers(1, 9))
             rho = random_joint_state(rng, n_max)
-            p = PulseParams(eta=float(rng.uniform(0.02, 0.3)), omega=float(rng.uniform(0.2, 3.0)))
+            t_op = math.pi / (float(rng.uniform(0.02, 0.3)) * float(rng.uniform(0.2, 3.0)))
             rng.uniform(-math.pi, math.pi)  # the drive phase draw, kept so later draws stay the same
             t = float(rng.uniform(0.0, 120.0))
-            u = jc_block_unitary("red", p, n_max, t)
-            np.testing.assert_allclose(dense_matrix(evolve(rho, p, t)),
+            u = jc_block_unitary("red", t_op, n_max, t)
+            np.testing.assert_allclose(dense_matrix(evolve(rho, t_op, t)),
                                        u @ dense_matrix(rho) @ u.conj().T, rtol=0, atol=1e-14)
 
 
@@ -360,19 +347,23 @@ class TestPrepareInitial:
         np.testing.assert_allclose(initial.reduced_qubit(), [alpha, 0.467 / 0.998], atol=1e-12)
 
 
-class TestPulseParams:
+class TestDriveCalibration:
     def test_default_calibration(self):
-        p = PulseParams()
-        assert p.eta == ETA_DEFAULT
-        assert abs(p.omega - math.pi / (0.09 * 33.0)) < 1e-12
-        assert abs(p.t_op - T_OP_DEFAULT) < 1e-10
-        assert abs(OMEGA_DEFAULT / (2 * math.pi) - 0.16835) < 1e-3  # ~168 kHz
+        # a 33 us pi pulse on block 0; block n turns at pi sqrt(n+1) / t_op
+        assert T_OP_DEFAULT == 33.0
+        assert ExperimentConfig().t_op == ExperimentConfig().erasure_time == 33.0
+        np.testing.assert_allclose(sideband_half_angles(33.0, 3, 33.0),
+                                   math.pi * np.sqrt([1.0, 2.0, 3.0]) / 2, rtol=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="eta"):
-            PulseParams(eta=0.0)
-        with pytest.raises(ValueError, match="omega"):
-            PulseParams(omega=-1.0)
+        for t_op in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_op must be finite and > 0"):
+                sideband_half_angles(t_op, 3, 1.0)
+            with pytest.raises(ValueError, match="t_op must be"):
+                ExperimentConfig(t_op=t_op)
+        # a subnormal t_op is finite and > 0, but its drive rate pi/t_op is not finite
+        with pytest.raises(ValueError, match="pi/t_op finite, got 1e-310"):
+            sideband_half_angles(1e-310, 3, 1.0)
 
 
 class TestJointState:

@@ -128,6 +128,7 @@ class TestRunErasure:
             ({"nbar0": math.nan}, "nbar0"),
             ({"readout_span": math.inf}, "readout_span"),
             ({"t_pulse": math.inf}, "t_pulse"),
+            ({"t_op": math.nan}, "t_op"),
             ({"imperfections": Imperfections(cool_nbar=math.nan)}, "cool_nbar"),
         ):
             with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -142,8 +143,27 @@ class TestRunErasure:
             ExperimentConfig(t_pulse=-1.0)
 
     def test_default_erasure_is_the_pi_pulse(self):
-        assert DEFAULT.erasure_time == DEFAULT.pulse.t_op
+        assert DEFAULT.erasure_time == DEFAULT.t_op == 33.0
         assert ExperimentConfig(t_pulse=10.0).erasure_time == 10.0
+
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    @pytest.mark.parametrize("imperfections", [Imperfections(), REALISTIC_IMPERFECTIONS],
+                             ids=["ideal", "realistic"])
+    def test_drive_only_sets_the_time_unit(self, k, imperfections):
+        # every drive angle is (pi/t_op) sqrt(n+1) t, so scaling t_op and every
+        # time by k changes no ledger term and no noiseless readout number
+        base = ExperimentConfig(theta_c=1.0, nbar0=0.5, t_pulse=20.0, readout_span=150.0,
+                                imperfections=imperfections)
+        scaled = dataclasses.replace(base, t_op=k * base.t_op, t_pulse=k * base.t_pulse,
+                                     readout_span=k * base.readout_span)
+        ledger, scaled_ledger = run_erasure(base)[0], run_erasure(scaled)[0]
+        row, scaled_row = simulated_readout_run(base), simulated_readout_run(scaled)
+        for before, after in ((ledger, scaled_ledger), (row, scaled_row)):
+            for name, value in vars(before).items():
+                if isinstance(value, float):
+                    assert abs(getattr(after, name) - value) <= 1e-12, name
+                else:
+                    assert getattr(after, name) == value, name
 
 
 class TestSweepTemperature:
@@ -312,9 +332,9 @@ class TestSimulatedReadout:
         _, initial, final = run_erasure(DEFAULT)
         times = DEFAULT.readout_times()
         for state, expected_nbar in ((initial, 0.074), (final, 1.074)):
-            clean = model_trace(state.reduced_fock(), DEFAULT.pulse, times)
+            clean = model_trace(state.reduced_fock(), DEFAULT.t_op, times)
             flipped = detection_flip(clean, 0.0022)
-            a = fit_design_matrix(default_n_fit(expected_nbar), DEFAULT.pulse, times)
+            a = fit_design_matrix(default_n_fit(expected_nbar), DEFAULT.t_op, times)
             base = fit_phonon_populations(a, clean)
             perturbed = fit_phonon_populations(a, flipped)
             assert np.max(np.abs(base.populations - perturbed.populations)) < 0.01

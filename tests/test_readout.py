@@ -5,7 +5,7 @@ import pytest
 
 from oracle import dense_blue_trace, dense_matrix
 from qlandauer.ion import (
-    PulseParams,
+    T_OP_DEFAULT,
     dephase_qubit,
     evolve,
     n_max_for_nbar,
@@ -24,8 +24,7 @@ from qlandauer.readout import (
     sample_shots,
 )
 
-PULSE = PulseParams()
-TIMES = np.linspace(0.0, 6 * PULSE.t_op, 30)
+TIMES = np.linspace(0.0, 6 * T_OP_DEFAULT, 30)
 
 
 def down_fock_state(populations):
@@ -40,19 +39,19 @@ def thermal_populations(nbar):
 class TestExactTrace:
     def test_down_ground_rabi_formula(self):
         state = down_fock_state([1.0, 0.0, 0.0, 0.0])
-        p_down = exact_trace(state, PULSE, TIMES)
-        expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
+        p_down = exact_trace(state, T_OP_DEFAULT, TIMES)
+        expected = (1 + np.cos(math.pi / T_OP_DEFAULT * TIMES)) / 2
         np.testing.assert_allclose(p_down, expected, atol=1e-12)
 
     def test_up_ground_is_dark(self):
         state = dephase_qubit([0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(exact_trace(state, PULSE, TIMES), 0.0, atol=1e-12)
+        np.testing.assert_allclose(exact_trace(state, T_OP_DEFAULT, TIMES), 0.0, atol=1e-12)
 
     def test_matches_incoherent_model_for_down_diagonal_states(self):
         pops = thermal_populations(0.4)
         state = down_fock_state(pops)
-        exact = exact_trace(state, PULSE, TIMES)
-        modeled = model_trace(pops, PULSE, TIMES)
+        exact = exact_trace(state, T_OP_DEFAULT, TIMES)
+        modeled = model_trace(pops, T_OP_DEFAULT, TIMES)
         np.testing.assert_allclose(exact, modeled, atol=1e-12)
 
     def test_matches_dense_reference_on_random_states(self):
@@ -65,14 +64,14 @@ class TestExactTrace:
                                         rng.dirichlet(np.ones(n_max + 1)))
                 # the two drive phase draws are kept so the other draws stay the same
                 rng.uniform(-math.pi, math.pi)
-                state = evolve(product, PulseParams(), float(rng.uniform(0.0, 100.0)))
-                p = PulseParams(eta=float(rng.uniform(0.02, 0.3)),
-                                omega=float(rng.uniform(0.2, 3.0)))
+                state = evolve(product, T_OP_DEFAULT, float(rng.uniform(0.0, 100.0)))
+                # a calibration drawn as (eta, Omega) is the pi-pulse time pi/(eta Omega)
+                t_op = math.pi / (float(rng.uniform(0.02, 0.3)) * float(rng.uniform(0.2, 3.0)))
                 rng.uniform(-math.pi, math.pi)
-                times = np.linspace(0.0, 6 * p.t_op, 30)
+                times = np.linspace(0.0, 6 * t_op, 30)
                 np.testing.assert_allclose(
-                    exact_trace(state, p, times),
-                    dense_blue_trace(DensityMatrix(dense_matrix(state)), p, times),
+                    exact_trace(state, t_op, times),
+                    dense_blue_trace(DensityMatrix(dense_matrix(state)), t_op, times),
                     rtol=0, atol=1e-12)
 
     def test_negative_time_rejected(self):
@@ -81,46 +80,46 @@ class TestExactTrace:
         state = down_fock_state([1.0, 0.0])
         for bad in (-1.0, math.nan, math.inf, -math.inf):
             times = np.append(TIMES, bad)
-            for build in (lambda: exact_trace(state, PULSE, times),
-                          lambda: model_trace([0.5, 0.5], PULSE, times),
-                          lambda: fit_design_matrix(2, PULSE, times)):
+            for build in (lambda: exact_trace(state, T_OP_DEFAULT, times),
+                          lambda: model_trace([0.5, 0.5], T_OP_DEFAULT, times),
+                          lambda: fit_design_matrix(2, T_OP_DEFAULT, times)):
                 with pytest.raises(ValueError, match="readout times must be finite and >= 0"):
                     build()
         # a bad time is named before the point count and the detection error
         for times, epsilon in (([math.nan, 1.0], 0.0), ([math.inf, 1.0, 2.0], 0.5)):
             with pytest.raises(ValueError, match="readout times must be finite and >= 0"):
-                fit_design_matrix(2, PULSE, times, epsilon)
+                fit_design_matrix(2, T_OP_DEFAULT, times, epsilon)
 
 
 class TestModelTrace:
     def test_ground_population_only(self):
-        p_down = model_trace([1.0], PULSE, TIMES)
-        expected = (1 + np.cos(PULSE.eta * PULSE.omega * TIMES)) / 2
+        p_down = model_trace([1.0], T_OP_DEFAULT, TIMES)
+        expected = (1 + np.cos(math.pi / T_OP_DEFAULT * TIMES)) / 2
         np.testing.assert_allclose(p_down, expected, atol=1e-14)
 
     def test_starts_at_one(self):
-        assert model_trace([0.2, 0.5, 0.3], PULSE, TIMES)[0] == 1.0
+        assert model_trace([0.2, 0.5, 0.3], T_OP_DEFAULT, TIMES)[0] == 1.0
 
     def test_thermal_beating_against_direct_sum(self):
         # independent oracle: explicit loop over levels at one time point
         pops = thermal_populations(0.5)
         t = 50.0
         expected = sum(
-            p * (1 + math.cos(PULSE.eta * PULSE.omega * math.sqrt(n + 1) * t)) / 2
+            p * (1 + math.cos(math.pi / T_OP_DEFAULT * math.sqrt(n + 1) * t)) / 2
             for n, p in enumerate(pops)
         )
-        p_down = model_trace(pops, PULSE, [0.0, t])
+        p_down = model_trace(pops, T_OP_DEFAULT, [0.0, t])
         assert abs(p_down[1] - expected) < 1e-12
 
     def test_fock_level_keeps_full_contrast(self):
         # the model has no decay envelope, like the data exact_trace simulates:
         # a Fock level keeps full contrast at late times
         t = 40.0
-        p_down = model_trace([0.0, 1.0], PULSE, [0.0, t])
-        freq = PULSE.eta * PULSE.omega * math.sqrt(2)
+        p_down = model_trace([0.0, 1.0], T_OP_DEFAULT, [0.0, t])
+        freq = math.pi / T_OP_DEFAULT * math.sqrt(2)
         expected = (1 + math.cos(freq * t)) / 2
         assert abs(p_down[1] - expected) < 1e-12
-        exact = exact_trace(down_fock_state([0.0, 1.0, 0.0]), PULSE, [0.0, t])
+        exact = exact_trace(down_fock_state([0.0, 1.0, 0.0]), T_OP_DEFAULT, [0.0, t])
         assert abs(p_down[1] - exact[1]) < 1e-12
 
     @pytest.mark.parametrize("t_late", [300.0, 1000.0])
@@ -128,18 +127,18 @@ class TestModelTrace:
         # no decay exponent enters the model: long after the readout span it
         # still equals the undamped trace of the state it describes
         pops = thermal_populations(0.5)
-        times = t_late + np.linspace(0.0, PULSE.t_op, 30)
-        np.testing.assert_allclose(model_trace(pops, PULSE, times),
-                                   exact_trace(down_fock_state(pops), PULSE, times),
+        times = t_late + np.linspace(0.0, T_OP_DEFAULT, 30)
+        np.testing.assert_allclose(model_trace(pops, T_OP_DEFAULT, times),
+                                   exact_trace(down_fock_state(pops), T_OP_DEFAULT, times),
                                    rtol=0, atol=1e-12)
 
     def test_invalid_populations_rejected(self):
         with pytest.raises(ValueError, match="probability"):
-            model_trace([0.5, 0.2], PULSE, TIMES)
+            model_trace([0.5, 0.2], T_OP_DEFAULT, TIMES)
         with pytest.raises(ValueError, match="probability"):
-            model_trace([1.2, -0.2], PULSE, TIMES)
+            model_trace([1.2, -0.2], T_OP_DEFAULT, TIMES)
         with pytest.raises(ValueError, match="probability"):
-            model_trace([np.nan, 0.5, 0.5], PULSE, TIMES)
+            model_trace([np.nan, 0.5, 0.5], T_OP_DEFAULT, TIMES)
 
 
 class TestSampleShots:
@@ -154,7 +153,7 @@ class TestSampleShots:
         assert abs(np.var(sampled) - 0.0025) < 0.2 * 0.0025
 
     def test_reproducible(self):
-        trace = model_trace(thermal_populations(0.3), PULSE, TIMES)
+        trace = model_trace(thermal_populations(0.3), T_OP_DEFAULT, TIMES)
         a = sample_shots(trace, 100, seed=9)
         b = sample_shots(trace, 100, seed=9)
         np.testing.assert_array_equal(a, b)
@@ -166,7 +165,7 @@ class TestSampleShots:
 
 class TestDetectionFlip:
     def test_zero_epsilon_unchanged(self):
-        trace = model_trace(thermal_populations(0.2), PULSE, TIMES)
+        trace = model_trace(thermal_populations(0.2), T_OP_DEFAULT, TIMES)
         np.testing.assert_array_equal(detection_flip(trace, 0.0), trace)
 
     def test_half_epsilon_flattens(self):
@@ -182,8 +181,8 @@ class TestDetectionFlip:
 
 class TestFit:
     def test_round_trip_two_level(self):
-        p_down = model_trace([0.9, 0.1], PULSE, TIMES)
-        fit = fit_phonon_populations(fit_design_matrix(3, PULSE, TIMES), p_down)
+        p_down = model_trace([0.9, 0.1], T_OP_DEFAULT, TIMES)
+        fit = fit_phonon_populations(fit_design_matrix(3, T_OP_DEFAULT, TIMES), p_down)
         np.testing.assert_allclose(fit.populations, [0.9, 0.1, 0.0, 0.0], atol=1e-6)
         assert fit.converged
         assert fit.residual_norm < 1e-8
@@ -191,8 +190,8 @@ class TestFit:
     def test_round_trip_thermal_mean(self):
         pops = thermal_populations(0.5)
         times = np.linspace(0.0, 200.0, 60)
-        fit = fit_phonon_populations(fit_design_matrix(12, PULSE, times),
-                                     model_trace(pops, PULSE, times))
+        fit = fit_phonon_populations(fit_design_matrix(12, T_OP_DEFAULT, times),
+                                     model_trace(pops, T_OP_DEFAULT, times))
         truth = float(np.dot(np.arange(len(pops)), pops))
         assert abs(fit.mean_phonon - truth) < 1e-4
 
@@ -202,8 +201,9 @@ class TestFit:
             support = int(rng.integers(2, 5))
             pops = np.zeros(int(rng.integers(support, 10)))
             pops[:support] = rng.dirichlet(np.ones(support))
-            p_down = model_trace(pops, PULSE, TIMES)
-            fit = fit_phonon_populations(fit_design_matrix(len(pops) - 1, PULSE, TIMES), p_down)
+            p_down = model_trace(pops, T_OP_DEFAULT, TIMES)
+            a = fit_design_matrix(len(pops) - 1, T_OP_DEFAULT, TIMES)
+            fit = fit_phonon_populations(a, p_down)
             np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_noisy_monte_carlo_recovery(self):
@@ -212,8 +212,8 @@ class TestFit:
         pops = thermal_populations(0.3)
         truth = float(np.dot(np.arange(len(pops)), pops))
         times = np.linspace(0.0, 200.0, 30)
-        clean = model_trace(pops, PULSE, times)
-        a = fit_design_matrix(4, PULSE, times)
+        clean = model_trace(pops, T_OP_DEFAULT, times)
+        a = fit_design_matrix(4, T_OP_DEFAULT, times)
         estimates = []
         for seed in range(50):
             noisy = sample_shots(clean, 100, seed)
@@ -223,9 +223,9 @@ class TestFit:
         assert np.std(estimates) < 0.1
 
     def test_simplex_hard_constraint_under_noise(self):
-        clean = model_trace(thermal_populations(0.2), PULSE, TIMES)
+        clean = model_trace(thermal_populations(0.2), T_OP_DEFAULT, TIMES)
         noisy = sample_shots(clean, 20, seed=3)
-        fit = fit_phonon_populations(fit_design_matrix(8, PULSE, TIMES), noisy)
+        fit = fit_phonon_populations(fit_design_matrix(8, T_OP_DEFAULT, TIMES), noisy)
         assert np.all(fit.populations >= 0.0)
         assert abs(fit.populations.sum() - 1.0) < 1e-9
         assert abs(fit.mean_phonon
@@ -233,57 +233,57 @@ class TestFit:
 
     def test_undamped_trace_fitted_as_is(self):
         # the fit takes no decay parameters: an undamped trace is fitted as is
-        p_down = model_trace([1.0], PULSE, TIMES)
-        fit = fit_phonon_populations(fit_design_matrix(2, PULSE, TIMES), p_down)
+        p_down = model_trace([1.0], T_OP_DEFAULT, TIMES)
+        fit = fit_phonon_populations(fit_design_matrix(2, T_OP_DEFAULT, TIMES), p_down)
         assert abs(fit.populations[0] - 1.0) < 1e-6
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError, match="fewer than"):
-            fit_design_matrix(4, PULSE, TIMES[:4])
+            fit_design_matrix(4, T_OP_DEFAULT, TIMES[:4])
         with pytest.raises(ValueError, match="n_fit must be >= 1, got 0"):
-            fit_design_matrix(0, PULSE, TIMES[:4])
+            fit_design_matrix(0, T_OP_DEFAULT, TIMES[:4])
 
     def test_rank_deficient_trace_rejected(self):
         # 30 equal times make every row of the design matrix the same
         times = np.full(30, 50.0)
         with pytest.raises(ValueError, match="n_fit = 2 .* condition number"):
-            fit_design_matrix(2, PULSE, times)
+            fit_design_matrix(2, T_OP_DEFAULT, times)
 
     def test_condition_limit_at_default_readout(self):
         # 30 points over 6 t_op resolve the sideband frequencies of levels
         # 0..22: condition number 1.8e6 at n_fit 22, 1.7e10 at 23
-        fit_design_matrix(22, PULSE, TIMES)
+        fit_design_matrix(22, T_OP_DEFAULT, TIMES)
         with pytest.raises(ValueError, match="n_fit = 23 .* condition number 1.67e"):
-            fit_design_matrix(23, PULSE, TIMES)
+            fit_design_matrix(23, T_OP_DEFAULT, TIMES)
 
     def test_half_detection_error_identifies_nothing(self):
         with pytest.raises(ValueError, match="detection_epsilon = 0.5: .* no information"):
-            fit_design_matrix(1, PULSE, TIMES, 0.5)
+            fit_design_matrix(1, T_OP_DEFAULT, TIMES, 0.5)
         with pytest.raises(ValueError, match="n_fit = 23 .* detection_epsilon = 0.4: .* "
                                              "condition number"):
-            fit_design_matrix(23, PULSE, TIMES, 0.4)
+            fit_design_matrix(23, T_OP_DEFAULT, TIMES, 0.4)
 
     def test_design_matrix_without_detection_error_is_the_model(self):
-        columns = [model_trace(np.eye(9)[n], PULSE, TIMES) for n in range(9)]
-        np.testing.assert_array_equal(fit_design_matrix(8, PULSE, TIMES),
+        columns = [model_trace(np.eye(9)[n], T_OP_DEFAULT, TIMES) for n in range(9)]
+        np.testing.assert_array_equal(fit_design_matrix(8, T_OP_DEFAULT, TIMES),
                                       np.column_stack(columns))
 
     def test_leading_columns_are_the_smaller_matrix(self):
         # adding levels appends columns and leaves the lower levels' untouched
-        np.testing.assert_array_equal(fit_design_matrix(20, PULSE, TIMES, 0.0022)[:, :9],
-                                      fit_design_matrix(8, PULSE, TIMES, 0.0022))
+        np.testing.assert_array_equal(fit_design_matrix(20, T_OP_DEFAULT, TIMES, 0.0022)[:, :9],
+                                      fit_design_matrix(8, T_OP_DEFAULT, TIMES, 0.0022))
 
     def test_detection_error_fitted_exactly(self):
         pops = thermal_populations(0.5)[:9]
         pops /= pops.sum()
-        flipped = detection_flip(model_trace(pops, PULSE, TIMES), 0.0022)
-        fit = fit_phonon_populations(fit_design_matrix(8, PULSE, TIMES, 0.0022), flipped)
+        flipped = detection_flip(model_trace(pops, T_OP_DEFAULT, TIMES), 0.0022)
+        fit = fit_phonon_populations(fit_design_matrix(8, T_OP_DEFAULT, TIMES, 0.0022), flipped)
         np.testing.assert_allclose(fit.populations, pops, atol=1e-6)
 
     def test_length_mismatch_names_arrays(self):
-        p_down = model_trace([1.0], PULSE, TIMES[:4])
+        p_down = model_trace([1.0], T_OP_DEFAULT, TIMES[:4])
         with pytest.raises(ValueError, match=r"a has 5 rows but p_down has shape \(4,\)"):
-            fit_phonon_populations(fit_design_matrix(2, PULSE, TIMES[:5]), p_down)
+            fit_phonon_populations(fit_design_matrix(2, T_OP_DEFAULT, TIMES[:5]), p_down)
 
     def test_iteration_cap_flags_result(self, monkeypatch):
         import qlandauer.readout as readout_mod
