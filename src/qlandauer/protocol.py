@@ -47,6 +47,8 @@ CROSSING_TOL_RAD = 1e-4
 # Largest readout_points * (max(n_max, n_fit) + 1): each readout trace or
 # design array holds that many floats, so one is at most 80 MB.
 READOUT_CELLS_LIMIT = 10_000_000
+# Largest shot count: numpy's Generator.binomial takes an int64.
+SHOTS_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"t_op must be > 0, got {self.t_op}")
         if self.t_pulse is not None and self.t_pulse < 0:
             raise ValueError(f"t_pulse must be >= 0, got {self.t_pulse}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if not 0 <= self.shots <= SHOTS_LIMIT:
+            raise ValueError(f"shots must be >= 0 and <= {SHOTS_LIMIT}, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.readout_points < 2:
@@ -280,8 +282,10 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     populations, is rejected before the erasure runs; that check
     (fit_design_matrix) builds the one design matrix both fits use.
     """
+    # The truncation first: it refuses by name an nbar0 that needs infinite n_max.
+    n_max = config.truncation()
     n_fit = config.n_fit if config.n_fit is not None else default_n_fit(config.effective_nbar0)
-    cells = config.readout_points * (max(config.truncation(), n_fit) + 1)
+    cells = config.readout_points * (max(n_max, n_fit) + 1)
     if cells > READOUT_CELLS_LIMIT:
         raise ValueError(
             f"readout_points = {config.readout_points} gives readout arrays of {cells} "

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,22 @@ class TestArgumentValidation:
         code, _, err = run_cli([], capsys)
         assert code == 1
         assert "subcommand" in err
+
+    # Each of these ended in a traceback, a warning or an error naming no key.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, names", [
+        (["readout", "--shots", "100000000000000000000"], ["shots"]),
+        (["readout", "--nbar0", "1e308"], ["nbar", "n_max"]),
+        (["readout", "--readout-span", "1.7e308", "--n-max", "380"], ["t_op", "1.7e+308"]),
+        (["verify", "--t-op", "1e-300", "--t-pulse", "1e9"], ["t_op", "1e+09"]),
+        (["readout", "--t-op", "1e-300", "--readout-span", "1e10"], ["t_op", "1e+10"]),
+    ])
+    def test_extreme_value_gives_one_named_error(self, argv, names, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
+        assert out == ""
 
 
 class TestConfigFile:
@@ -757,6 +775,68 @@ class TestDeterminism:
         text = target.read_text(encoding="utf-8")
         assert text.startswith("# qlandauer verify")
         assert "residual = " in text
+
+    def test_shorter_output_rewrites_file_in_place(self, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        assert parse_and_dispatch(["sweep-temp", "--output", str(target)]) == 0
+        target.chmod(0o640)
+        before = target.stat()
+        code, expected, _ = run_cli(["verify"], capsys)
+        assert code == 0 and len(expected) < before.st_size
+        assert parse_and_dispatch(["verify", "--output", str(target)]) == 0
+        after = target.stat()
+        assert target.read_bytes() == expected.encode("utf-8")
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_failed_rewrite_leaves_no_stale_tail(self, tmp_path, capsys):
+        # The write fails part way, as on a full disk: here it runs past a
+        # file size limit (EFBIG once SIGXFSZ is ignored).  The longer file it
+        # was rewriting must not keep its old tail behind the new head.
+        resource = pytest.importorskip("resource")
+        target = tmp_path / "out.csv"
+        target.write_text("~" * 20_000, encoding="utf-8")
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, limits[1]))
+        try:
+            code, out, err = run_cli(["sweep-temp", "-o", str(target)], capsys)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert code == 1 and out == ""
+        assert f"cannot write output file {target}" in err
+        assert target.read_bytes() == b""
+
+    def test_output_to_dev_null(self, capsys):
+        code, out, err = run_cli(["verify", "-o", os.devnull], capsys)
+        assert code == 0 and out == "" and err == ""
+
+    def test_output_through_symlink_rewrites_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("x" * 10_000, encoding="utf-8")
+        link.symlink_to(target)
+        _, expected, _ = run_cli(["verify"], capsys)
+        assert parse_and_dispatch(["verify", "-o", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == expected.encode("utf-8")
+
+    def test_output_opened_without_truncation(self, tmp_path, monkeypatch, capsys):
+        # Truncating open is what stalls a rewrite on ext4; the file is cut
+        # after writing instead.
+        target, calls = tmp_path / "out.csv", []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for _ in range(2):
+            assert parse_and_dispatch(["verify", "--output", str(target)]) == 0
+        capsys.readouterr()
+        opened = [flags for path, flags in calls if path == str(target)]
+        assert len(opened) == 2
+        assert not any(flags & os.O_TRUNC for flags in opened)
 
     @pytest.mark.parametrize("argv, check_fails", [
         (["verify"], False),

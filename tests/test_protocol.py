@@ -11,6 +11,7 @@ from qlandauer.linalg import kron
 from qlandauer.protocol import (
     READOUT_CELLS_LIMIT,
     REALISTIC_IMPERFECTIONS,
+    SHOTS_LIMIT,
     ExperimentConfig,
     Imperfections,
     find_entropy_zero_crossings,
@@ -121,6 +122,8 @@ class TestRunErasure:
             dataclasses.replace(DEFAULT, nbar0=-1.0)
         with pytest.raises(ValueError, match="shots"):
             ExperimentConfig(shots=-2)
+        with pytest.raises(ValueError, match="shots"):
+            ExperimentConfig(shots=SHOTS_LIMIT + 1)
         with pytest.raises(ValueError, match="init_fidelity"):
             ExperimentConfig(imperfections=Imperfections(init_fidelity=1.5))
         # non-finite values are named wherever they sit in the config
@@ -388,6 +391,13 @@ class TestSimulatedReadout:
         # one fit_design_matrix call builds and checks the matrix both fits
         # use, with the run's one SVD
         assert calls == {"svd": 1, "check": 1}
+
+    def test_largest_shot_count_runs(self):
+        # SHOTS_LIMIT is the most numpy's binomial draw takes: it is accepted
+        # and sampled, and its shot noise is far below the fit's tolerance.
+        noiseless = simulated_readout_run(DEFAULT)
+        row = simulated_readout_run(dataclasses.replace(DEFAULT, shots=SHOTS_LIMIT))
+        assert abs(row.fitted_mean_phonon - noiseless.fitted_mean_phonon) < 1e-6
 
 
 class TestDefaultGrids:

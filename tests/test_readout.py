@@ -12,6 +12,7 @@ from qlandauer.ion import (
     thermal_state,
 )
 from qlandauer.linalg import DensityMatrix
+from qlandauer.protocol import SHOTS_LIMIT
 from qlandauer.readout import (
     _simplex_least_squares,
     default_n_fit,
@@ -157,6 +158,11 @@ class TestSampleShots:
         a = sample_shots(trace, 100, seed=9)
         b = sample_shots(trace, 100, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    def test_largest_shot_count(self):
+        p_down = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        sampled = sample_shots(p_down, SHOTS_LIMIT, seed=4)
+        np.testing.assert_allclose(sampled, p_down, rtol=0.0, atol=1e-8)
 
     def test_rejects_noisy_input_and_zero_shots(self):
         with pytest.raises(ValueError, match="shots"):
