@@ -30,7 +30,6 @@ from .ion import (
 from .readout import (
     default_n_fit,
     detection_flip,
-    exact_trace,
     fit_design_matrix,
     fit_phonon_populations,
     model_trace,
@@ -162,7 +161,7 @@ class SweepRow:
     exact_mean_phonon_pre: float | None = None
     fitted_mean_phonon_pre: float | None = None
     delta_q_estimate: float | None = None
-    readout_model_error: float | None = None
+    p_up_final: float | None = None
     fit_converged: bool | None = None
 
 
@@ -274,8 +273,8 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     reservoir populations, the model the fit inverts.  Applies detection
     error and optionally shot noise, fits both traces on the probability
     simplex, and reports fitted vs exact mean phonon numbers, the heat
-    estimate from the fits, and the worst-case deviation of the post-erasure
-    probe from the exact trace of the correlated post-erasure state.
+    estimate from the fits, and p_up_final, the up population P'_up that the
+    erasure leaves and the reset before the post-erasure probe removes.
     Both probes fit levels 0..n_fit, config.n_fit or else default_n_fit of
     the effective nbar0.  A config whose readout arrays exceed
     READOUT_CELLS_LIMIT, or whose trace cannot identify n_fit + 1
@@ -307,7 +306,6 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
                  for state in (initial, final))
     fit_pre = probe(pre, config.seed)
     fit_post = probe(post, config.seed + 1)
-    model_error = float(np.max(np.abs(exact_trace(final, config.t_op, times) - post)))
 
     return _ledger_row(
         "theta_c", config.theta_c, config, ledger,
@@ -315,7 +313,7 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
         exact_mean_phonon_pre=ledger.e_initial,
         fitted_mean_phonon_pre=fit_pre.mean_phonon,
         delta_q_estimate=fit_post.mean_phonon - fit_pre.mean_phonon,
-        readout_model_error=model_error,
+        p_up_final=float(final.reduced_qubit()[1]),
         fit_converged=fit_pre.converged and fit_post.converged,
     )
 

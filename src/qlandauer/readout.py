@@ -58,7 +58,8 @@ def exact_trace(rho: JointState, t_op: float, times) -> np.ndarray:
         p_down(t) = sum_{n<n_max} [B_n rho(dn,dn) + (1 - B_n) rho(u n+1,u n+1)]
                     + rho(d n_max,d n_max)
 
-    with B the model_trace matrix of levels 0 .. n_max - 1 at t.
+    with B the model_trace matrix of levels 0 .. n_max - 1 at t.  Only the
+    tests call it.
     """
     b, down, up = _design_matrix(rho.n_max - 1, t_op, times), *rho.populations
     return np.clip(b @ (down[:-1] - up[1:]) + up[1:].sum() + down[-1], 0.0, 1.0)
@@ -143,11 +144,14 @@ def fit_phonon_populations(a: np.ndarray, p_down) -> PhononFit:
     improves the objective by less than FIT_OBJECTIVE_TOL and moves every
     population by less than FIT_DISPLACEMENT_TOL; after FIT_MAX_ITERATIONS
     steps without that, the result is flagged non-converged and carries the
-    last iterate.  Neither rule certifies optimality.
+    last iterate.  Neither rule certifies optimality.  A p_down of the wrong
+    length or with a non-finite value is refused before solving.
     """
     p_down = np.asarray(p_down, dtype=float)
     if p_down.shape != a.shape[:1]:
         raise ValueError(f"a has {len(a)} rows but p_down has shape {p_down.shape}")
+    if not np.all(np.isfinite(p_down)):
+        raise ValueError(f"p_down must be finite, got {p_down[~np.isfinite(p_down)][0]}")
     pops, converged = _simplex_least_squares(a, p_down)
     resid = a @ pops - p_down
     return PhononFit(

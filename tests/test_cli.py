@@ -15,6 +15,7 @@ from oracle import parse_sweep_table
 from qlandauer.cli import (
     COMMAND_KEYS,
     CONFIG_KEYS,
+    GRID_POINTS_LIMIT,
     CliError,
     load_config,
     parse_and_dispatch,
@@ -298,6 +299,21 @@ class TestArgumentValidation:
         assert all(name in err for name in names)
         assert out == ""
 
+    @pytest.mark.parametrize("command, key", [
+        ("sweep-temp", "nbar_points"), ("sweep-theta", "theta_points")])
+    def test_grid_above_limit_names_key(self, command, key, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the size check")
+
+        for name in ("geomspace", "linspace"):
+            monkeypatch.setattr(np, name, no_grid)
+        assert load_config(None, {key: GRID_POINTS_LIMIT})[1][key] == GRID_POINTS_LIMIT
+        code, out, err = run_cli([command, flag(key), str(GRID_POINTS_LIMIT + 1)], capsys)
+        assert code == 1
+        assert err == (f"error: {key} must be >= 1 and <= {GRID_POINTS_LIMIT}, "
+                       f"got {GRID_POINTS_LIMIT + 1}\n")
+        assert out == ""
+
 
 class TestConfigFile:
     def test_empty_file_gives_defaults(self, tmp_path, capsys):
@@ -488,11 +504,12 @@ LEDGER_KEYS = [
     "mutual_info_nats", "relative_entropy_nats", "rhs", "residual",
 ]
 UNIT_KEYS = ["q0_joule", "t0_micro_kelvin", "temperature_micro_kelvin", "delta_q_joule"]
-RUN_KEYS = LEDGER_KEYS + UNIT_KEYS + [
-    "exact_mean_phonon_pre", "fitted_mean_phonon_pre", "exact_mean_phonon_post",
-    "fitted_mean_phonon_post", "delta_q_estimate_q0", "readout_model_error", "shots",
+READOUT_KEYS = [
+    "exact_mean_phonon_pre", "fitted_mean_phonon_pre", "exact_mean_phonon",
+    "fitted_mean_phonon", "delta_q_estimate", "p_up_final", "shots",
     "fit_converged", "truncation_tail_mass",
 ]
+RUN_KEYS = LEDGER_KEYS + UNIT_KEYS + READOUT_KEYS
 
 
 class TestOutputKeys:
@@ -501,10 +518,7 @@ class TestOutputKeys:
          + ["truncation_tail_mass", "verified"]),
         (["run", "--shots", "100"], RUN_KEYS),
         (["run", "--nbar0", "0"], RUN_KEYS),
-        (["readout", "--shots", "100"], [
-            "theta_c", "nbar0", "exact_mean_phonon_pre", "fitted_mean_phonon_pre",
-            "exact_mean_phonon", "fitted_mean_phonon", "delta_q_estimate",
-            "readout_model_error", "fit_converged", "truncation_tail_mass"]),
+        (["readout", "--shots", "100"], ["theta_c", "nbar0"] + READOUT_KEYS),
         (["crossings"], ["nbar0", "theta_low", "theta_high"]),
     ])
     def test_structured_keys_in_order(self, argv, keys, capsys):
@@ -512,6 +526,17 @@ class TestOutputKeys:
         assert code == 0
         assert out.startswith(f"# qlandauer {argv[0]} config=")
         assert summary_keys(out) == keys
+
+    @pytest.mark.parametrize("options", [["--shots", "100"], ["--realistic"]])
+    def test_readout_and_run_share_one_readout_block(self, options, capsys):
+        # the same lines, byte for byte, from exact_mean_phonon_pre to the end
+        blocks = []
+        for command in ("readout", "run"):
+            code, out, _ = run_cli([command, *options], capsys)
+            assert code == 0
+            assert summary_keys(out)[-len(READOUT_KEYS):] == READOUT_KEYS
+            blocks.append(out.splitlines()[-len(READOUT_KEYS):])
+        assert blocks[0] == blocks[1]
 
     def test_divergent_run_terms(self, capsys):
         code, out, _ = run_cli(["run", "--nbar0", "0"], capsys)
@@ -635,7 +660,7 @@ class TestReadoutAndRun:
         code, out, _ = run_cli(["run", "--shots", "100"], capsys)
         assert code == 0
         assert abs(float(summary_value(out, "residual"))) < 1e-9
-        assert float(summary_value(out, "delta_q_estimate_q0")) > 0
+        assert float(summary_value(out, "delta_q_estimate")) > 0
 
     def test_run_evaluates_one_erasure(self, capsys, monkeypatch):
         import qlandauer.protocol as protocol_mod

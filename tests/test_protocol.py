@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -363,9 +364,31 @@ class TestSimulatedReadout:
             with pytest.raises(ValueError, match="readout_points = 1000001 .* above the limit"):
                 simulated_readout_run(cfg)
 
-    def test_model_error_reported(self):
-        row = simulated_readout_run(DEFAULT)
-        assert 0.0 < row.readout_model_error < 0.2
+    def test_p_up_final_is_the_exact_trace_gap(self, monkeypatch):
+        # The probe resets the qubit, which removes P'_up: at t = 0 the exact
+        # blue-sideband trace of the unreset final state reads 1 - P'_up and
+        # the probe reads 1, and at no time do they differ by more than
+        # P'_up + P'(down, n_max), the level the truncated drive leaves dark.
+        # The fit is not under test, and at nbar0 4 it takes seconds.
+        import qlandauer.protocol as protocol_mod
+        from qlandauer.readout import PhononFit, exact_trace, model_trace
+
+        monkeypatch.setattr(protocol_mod, "fit_phonon_populations", lambda a, p_down: PhononFit(
+            populations=np.eye(a.shape[1])[0], mean_phonon=0.0, residual_norm=0.0,
+            converged=True))
+        for nbar, theta, imperfections, t_pulse in itertools.product(
+                (0.0, 0.074, 0.5, 2.0, 4.0), (0.3, math.pi / 2, 2.9),
+                (Imperfections(), REALISTIC_IMPERFECTIONS), (None, 10.0)):
+            cfg = ExperimentConfig(nbar0=nbar, theta_c=theta, t_pulse=t_pulse,
+                                   imperfections=imperfections)
+            p_up = simulated_readout_run(cfg).p_up_final
+            ledger, initial, final = run_erasure(cfg)
+            times = cfg.readout_times()
+            gap = np.max(np.abs(exact_trace(final, cfg.t_op, times)
+                                - model_trace(final.reduced_fock(), cfg.t_op, times)))
+            assert p_up - 1e-15 <= gap <= p_up + final.populations[0, -1] + 1e-15, cfg
+            # the red sideband conserves n + |up><up|: delta_q = P_up - P'_up
+            assert abs(p_up - (initial.reduced_qubit()[1] - ledger.delta_q)) < 1e-12, cfg
 
     def test_deterministic_given_seed(self):
         cfg = dataclasses.replace(DEFAULT, shots=100, seed=77)

@@ -291,6 +291,19 @@ class TestFit:
         with pytest.raises(ValueError, match=r"a has 5 rows but p_down has shape \(4,\)"):
             fit_phonon_populations(fit_design_matrix(2, T_OP_DEFAULT, TIMES[:5]), p_down)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_names_p_down(self, bad, monkeypatch):
+        import qlandauer.readout as readout_mod
+
+        def no_solve(a, y):
+            raise AssertionError("solver ran on non-finite data")
+
+        monkeypatch.setattr(readout_mod, "_simplex_least_squares", no_solve)
+        p_down = model_trace([0.5, 0.3, 0.2], T_OP_DEFAULT, TIMES)
+        p_down[3] = bad
+        with pytest.raises(ValueError, match=f"p_down must be finite, got {bad}"):
+            fit_phonon_populations(fit_design_matrix(2, T_OP_DEFAULT, TIMES), p_down)
+
     def test_iteration_cap_flags_result(self, monkeypatch):
         import qlandauer.readout as readout_mod
 
