@@ -5,11 +5,11 @@ Configuration comes from defaults, then an optional flat key = value file,
 then command-line overrides, in that precedence; a file may set any key, a
 subcommand takes and hashes only the keys it reads, and each of those can
 change its output (seed only where shots are drawn).  Exit codes: 0 success,
-1 validation error (an output file that cannot be written included), 2
-numerical failure (a failed equality check under every command but
-crossings, a failed heat-conservation check under verify, a failed
-truncation check under any command, or a non-converged fit under readout or
-run); a failed check still writes the output.
+1 validation error (an output file or standard output that cannot be
+written included), 2 numerical failure (a failed equality check under every
+command but crossings, a failed heat-conservation check under verify, a
+failed truncation check under any command, or a non-converged fit under
+readout or run); a failed check still writes the output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -206,7 +207,14 @@ def provenance_line(command: str, values: dict) -> str:
 
 
 def _emit(text: str, output_path: str | None) -> None:
-    """Write ``text`` to stdout, or over the file at ``output_path``.
+    """Write ``text`` to stdout and flush it, or write it over the file at
+    ``output_path``; a failed write is a CliError either way.
+
+    A failed stdout write leaves the text in the stream, and the
+    interpreter's own flush at exit would fail on it again, print "Exception
+    ignored" and exit 120.  So before the CliError is raised, stdout's
+    descriptor is pointed at /dev/null, where that flush succeeds, as in the
+    Python docs' note on SIGPIPE.
 
     The file is opened without O_TRUNC and, if it is a regular file, cut at
     the written length after the write.  On ext4 an open with O_TRUNC of a
@@ -217,7 +225,16 @@ def _emit(text: str, output_path: str | None) -> None:
     cuts the file to empty, so it never keeps a tail of its earlier contents.
     """
     if output_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise CliError(f"cannot write standard output: {exc.strerror}") from exc
         return
     try:
         fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -395,6 +412,16 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # Moves the import-time heap into the permanent generation, so neither a
+    # collection during the command nor those of interpreter finalization
+    # walk it again.  After the imports about 21,500 objects are gc-tracked,
+    # mostly numpy's, and one full collection of them takes 2.8-3.5 ms.  On
+    # one pinned core (Python 3.11, numpy 2.4.6, x86-64 Linux, 2 cores) a
+    # process that only imports this module spent 15.3 ms finalizing, 2.7 ms
+    # after the freeze, and the six README commands as fresh processes took
+    # 707 ms against 796 ms (medians of 20 interleaved pairs).  Only main()
+    # freezes: importing the module or calling parse_and_dispatch does not.
+    gc.freeze()
     sys.exit(parse_and_dispatch(sys.argv[1:]))
 
 
