@@ -206,15 +206,37 @@ def provenance_line(command: str, values: dict) -> str:
     return f"# qlandauer {command} config={digest} seed={values['seed']}"
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    """Write ``text`` to stdout and flush it, or write it over the file at
-    ``output_path``; a failed write is a CliError either way.
+def _write_stream(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` and flush it; on an OSError, point the
+    stream's descriptor at /dev/null and raise it again.
 
-    A failed stdout write leaves the text in the stream, and the
-    interpreter's own flush at exit would fail on it again, print "Exception
-    ignored" and exit 120.  So before the CliError is raised, stdout's
-    descriptor is pointed at /dev/null, where that flush succeeds, as in the
-    Python docs' note on SIGPIPE.
+    A failed write leaves the text in the stream, and the interpreter's own
+    flush at exit would fail on it again, print "Exception ignored" and exit
+    120.  Once the descriptor is /dev/null that flush succeeds, as in the
+    Python docs' note on SIGPIPE, so the caller's exit code stands.
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
+def _warn(text: str) -> None:
+    """Write one line to stderr; one that cannot be written is dropped, so
+    the exit code stays the one the line explains."""
+    with contextlib.suppress(OSError):
+        _write_stream(sys.stderr, text + "\n")
+
+
+def _emit(text: str, output_path: str | None) -> None:
+    """Write ``text`` to stdout, or over the file at ``output_path``; a
+    failed write is a CliError either way.
 
     The file is opened without O_TRUNC and, if it is a regular file, cut at
     the written length after the write.  On ext4 an open with O_TRUNC of a
@@ -226,14 +248,8 @@ def _emit(text: str, output_path: str | None) -> None:
     """
     if output_path is None:
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stream(sys.stdout, text)
         except OSError as exc:
-            with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
-                fd = sys.stdout.fileno()
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
             raise CliError(f"cannot write standard output: {exc.strerror}") from exc
         return
     try:
@@ -404,9 +420,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
             _emit(text, args.output_path)
         finally:
             if failures:
-                print(f"numerical failure: {'; '.join(failures)}", file=sys.stderr)
+                _warn(f"numerical failure: {'; '.join(failures)}")
     except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_VALIDATION
     return EXIT_NUMERICAL if failures else EXIT_OK
 

@@ -3,7 +3,9 @@
 The package carries joint states as populations plus 2x2 red-sideband blocks
 (qlandauer.ion.JointState); the helpers here work on full 2(n_max+1)-square
 matrices instead.  It also reads back the comma-separated tables the
-package emits.  Nothing in the package imports this module.
+package emits, and keeps the phonon fit's projected-gradient loop as it was
+when it evaluated the objective on every step.  Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from qlandauer.info import von_neumann_entropy
 from qlandauer.ion import jc_block_unitary, thermal_state
 from qlandauer.linalg import DensityMatrix, kron, partial_trace
 from qlandauer.protocol import SWEEP_COLUMNS, SweepRow
+from qlandauer.readout import FIT_DISPLACEMENT_TOL, FIT_MAX_ITERATIONS, FIT_OBJECTIVE_TOL
 
 # rho1 weight tolerated on a zero (or negative roundoff) eigenvalue of rho2
 # before the relative entropy is declared divergent.
@@ -196,3 +199,39 @@ def parse_sweep_table(text: str) -> tuple[str, list[SweepRow]]:
                 kwargs[col] = None if cell == "" else float(cell)
         rows.append(SweepRow(**kwargs))
     return provenance, rows
+
+
+def project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x : x >= 0, sum x = 1} (sort-based)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    k = np.arange(1, len(v) + 1)
+    rho = k[u - css / k > 0][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def simplex_least_squares(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    """qlandauer.readout._simplex_least_squares as it was when it evaluated
+    the objective on every step; its iterates, result and step count (the
+    calls of this module's project_to_simplex) are the reference.  The
+    FIT_* limits are this module's names, so a test patches them here too."""
+    ata = a.T @ a
+    aty = a.T @ y
+    step = 1.0 / float(np.linalg.eigvalsh(ata)[-1])
+
+    def objective(x):
+        r = a @ x - y
+        return 0.5 * float(r @ r)
+
+    x = np.full(a.shape[1], 1.0 / a.shape[1])
+    f_x = objective(x)
+    for _ in range(FIT_MAX_ITERATIONS):
+        x_new = project_to_simplex(x - step * (ata @ x - aty))
+        f_new = objective(x_new)
+        displacement = float(np.max(np.abs(x_new - x)))
+        improvement = f_x - f_new
+        x, f_x = x_new, f_new
+        if improvement < FIT_OBJECTIVE_TOL and displacement < FIT_DISPLACEMENT_TOL:
+            return x, True
+    return x, False

@@ -1,7 +1,8 @@
 """The entry point the console script and `python -m qlandauer.cli` run,
 `cli.main()`, in fresh processes: it gives what `parse_and_dispatch` gives in
-process, it alone freezes the import-time heap, and a failed write to
-standard output is exit 1 with a named error."""
+process, it alone freezes the import-time heap, a failed write to standard
+output is exit 1 with a named error, and a failed write to standard error
+leaves the exit code as it was."""
 
 import contextlib
 import io
@@ -34,10 +35,10 @@ README_COMMANDS = [
 ]
 
 
-def run(args, env=ENV, stdout=subprocess.PIPE):
+def run(args, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run a fresh interpreter with ``args`` to exit."""
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=120)
+                          stderr=stderr, timeout=120)
 
 
 @pytest.mark.parametrize("argv, table", README_COMMANDS,
@@ -88,10 +89,14 @@ def assert_one_named_error(child):
     assert lines[0].startswith("error: cannot write standard output: ")
 
 
-@pytest.mark.parametrize("env", [UNBUFFERED_ENV, BUFFERED_ENV], ids=["unbuffered", "buffered"])
-def test_full_device_on_stdout_is_a_named_error(env):
+def require_full_device():
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
+
+
+@pytest.mark.parametrize("env", [UNBUFFERED_ENV, BUFFERED_ENV], ids=["unbuffered", "buffered"])
+def test_full_device_on_stdout_is_a_named_error(env):
+    require_full_device()
     with open("/dev/full", "wb") as full:
         child = run(["-m", "qlandauer.cli", "verify"], env=env, stdout=full)
     assert_one_named_error(child)
@@ -109,3 +114,19 @@ def test_closed_pipe_on_buffered_stdout_is_a_named_error():
         os.close(write_end)
     assert_one_named_error(child)
     assert b"Exception ignored" not in child.stderr
+
+
+@pytest.mark.parametrize("env", [UNBUFFERED_ENV, BUFFERED_ENV], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, code, verdict", [
+    (["verify", "--nbar0", "-1"], 1, None),
+    (["verify", "--n-max", "2", "--nbar0", "2"], 2, b"verified = no\n"),
+], ids=["validation", "numerical"])
+def test_full_device_on_stderr_keeps_the_exit_code(argv, code, verdict, env):
+    # The error line is lost, but the exit code it explains stands, and a
+    # numerical failure still writes its output; neither becomes exit 120
+    # from the flush at exit or a traceback's exit 1.
+    require_full_device()
+    with open("/dev/full", "wb") as full:
+        child = run(["-m", "qlandauer.cli", *argv], env=env, stderr=full)
+    assert child.returncode == code
+    assert child.stdout.endswith(verdict) if verdict else child.stdout == b""

@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracle
+import qlandauer.readout as readout
 from oracle import dense_blue_trace, dense_matrix
 from qlandauer.ion import (
     T_OP_DEFAULT,
@@ -316,6 +321,82 @@ class TestFit:
     def test_default_n_fit_rule(self):
         assert default_n_fit(0.074) == 8
         assert default_n_fit(2.0) == 10
+
+
+def shot_data(n_fit, times, epsilon, shots, seed):
+    """A detected trace of Dirichlet populations of levels 0..n_fit: exact,
+    or with shots > 0 a binomial draw."""
+    pops = np.random.default_rng(seed).dirichlet(np.ones(n_fit + 1))
+    p_down = detection_flip(model_trace(pops, T_OP_DEFAULT, times), epsilon)
+    return sample_shots(p_down, shots, seed) if shots else p_down
+
+
+def count_projections(monkeypatch, module):
+    """Calls of module.project_to_simplex from now on, one entry each."""
+    calls = []
+    project = module.project_to_simplex
+
+    def counting(v):
+        calls.append(None)
+        return project(v)
+
+    monkeypatch.setattr(module, "project_to_simplex", counting)
+    return calls
+
+
+class TestReferenceLoop:
+    """The solver against oracle.simplex_least_squares, the loop that
+    evaluated the objective on every step: the same iterates bit for bit."""
+
+    @settings(max_examples=40)
+    @given(n_fit=st.integers(1, 12), extra_points=st.integers(0, 30),
+           span=st.floats(1.0, 8.0), epsilon=st.floats(0.0, 0.1),
+           shots=st.sampled_from([0, 20, 100]), seed=st.integers(0, 2**32 - 1))
+    def test_same_result_as_the_reference_loop(self, n_fit, extra_points, span, epsilon,
+                                               shots, seed):
+        times = np.linspace(0.0, span * T_OP_DEFAULT, n_fit + 1 + extra_points)
+        try:
+            a = fit_design_matrix(n_fit, T_OP_DEFAULT, times, epsilon)
+        except ValueError:
+            assume(False)
+        y = shot_data(n_fit, times, epsilon, shots, seed)
+        # About one draw in ten runs to the cap of 100,000 steps, 1-2 s a
+        # fit; a cap of 2,000 keeps the test near 2 s, and about two draws
+        # in three still converge under it.
+        with mock.patch.object(readout, "FIT_MAX_ITERATIONS", 2000), \
+                mock.patch.object(oracle, "FIT_MAX_ITERATIONS", 2000):
+            expected, expected_converged = oracle.simplex_least_squares(a, y)
+            pops, converged = _simplex_least_squares(a, y)
+        assert np.array_equal(pops, expected)
+        assert converged == expected_converged
+
+    def default_fit(self):
+        """The default readout's fit: n_fit 8, 30 points over 6 t_op, the
+        quoted detection error and 100 shots, converged in a few hundred steps."""
+        a = fit_design_matrix(8, T_OP_DEFAULT, TIMES, 0.0022)
+        return a, shot_data(8, TIMES, 0.0022, 100, seed=5)
+
+    def test_one_projection_per_step(self, monkeypatch):
+        a, y = self.default_fit()
+        steps = count_projections(monkeypatch, readout)
+        reference_steps = count_projections(monkeypatch, oracle)
+        expected, expected_converged = oracle.simplex_least_squares(a, y)
+        pops, converged = _simplex_least_squares(a, y)
+        assert converged and expected_converged
+        assert np.array_equal(pops, expected)
+        assert len(steps) == len(reference_steps) > 50
+
+    @pytest.mark.parametrize("cap", [3, 50])
+    def test_cap_returns_the_last_iterate(self, cap, monkeypatch):
+        a, y = self.default_fit()
+        for module in (readout, oracle):
+            monkeypatch.setattr(module, "FIT_MAX_ITERATIONS", cap)
+        steps = count_projections(monkeypatch, readout)
+        expected, expected_converged = oracle.simplex_least_squares(a, y)
+        pops, converged = _simplex_least_squares(a, y)
+        assert not converged and not expected_converged
+        assert np.array_equal(pops, expected)
+        assert len(steps) == cap
 
 
 class TestSimplexProjection:
