@@ -26,11 +26,9 @@ import sys
 
 import numpy as np
 
-from .info import UnitSystem
+from .info import temperature_from_nbar
 from .ion import TRUNCATION_TAIL_TOL, thermal_tail_mass
 from .protocol import (
-    NBAR_GRID_DEFAULT,
-    THETA_GRID_DEFAULT,
     REALISTIC_IMPERFECTIONS,
     ExperimentConfig,
     Imperfections,
@@ -53,9 +51,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# key -> parser.  Unset keys take the defaults of the ExperimentConfig,
-# Imperfections and UnitSystem field of the same name, and of the
-# *_GRID_DEFAULT sweep grids.
+# key -> parser.  An unset key takes the default of the ExperimentConfig or
+# Imperfections field of the same name, or its CLI_DEFAULTS entry.
 CONFIG_KEYS = {
     "theta_c": float,
     "nbar0": float,
@@ -77,6 +74,15 @@ CONFIG_KEYS = {
     "theta_min": float,
     "theta_max": float,
     "theta_points": int,
+}
+
+# Defaults of the keys no experiment reads: the axial trap frequency (rad/us,
+# omega_z / 2pi = 1.01 MHz), which sets only the joule and microkelvin display
+# lines, and the sweep grids, logarithmic in nbar and linear in theta_c.
+CLI_DEFAULTS = {
+    "omega_z": 2.0 * math.pi * 1.01,
+    "nbar_min": 0.01, "nbar_max": 2.0, "nbar_points": 25,
+    "theta_min": 0.0, "theta_max": math.pi, "theta_points": 49,
 }
 
 # The keys each subcommand reads, hence its flags and its provenance hash.  Sweeps
@@ -153,31 +159,37 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _fields(cls) -> list[str]:
-    """Names of the dataclass fields of cls that are also config keys."""
-    return [f.name for f in dataclasses.fields(cls) if f.name in CONFIG_KEYS]
+HBAR_JS = 1.054571817e-34
+KB_J_PER_K = 1.380649e-23
+
+
+def _display_units(omega_z: float, temperature: float | None) -> tuple:
+    """q0_joule, t0_micro_kelvin and temperature_micro_kelvin (None at a None
+    temperature, in units of T0) at the trap frequency omega_z, rad/us."""
+    q0_joule = HBAR_JS * omega_z * 1e6  # rad/us -> rad/s
+    t0_kelvin = q0_joule / KB_J_PER_K
+    return (q0_joule, t0_kelvin * 1e6,
+            None if temperature is None else temperature * t0_kelvin * 1e6)
 
 
 def load_config(config_path: str | None, overrides: dict,
                 realistic: bool = False) -> tuple[ExperimentConfig, dict]:
     """Merge defaults <- config file <- CLI overrides and validate every key.
 
-    Returns the experiment config plus the raw merged key map (the sweep
-    grid keys live only in the latter).  With ``realistic`` the quoted
+    Returns the experiment config plus the raw merged key map (the keys of
+    CLI_DEFAULTS live only in the latter).  With ``realistic`` the quoted
     imperfection preset provides the baseline; explicitly set keys still win.
+    The experiment keys are checked by ExperimentConfig, the others here.
     """
     base = REALISTIC_IMPERFECTIONS if realistic else Imperfections()
-    values = {key: getattr(obj, key)
-              for obj in (ExperimentConfig(), base, UnitSystem())
-              for key in _fields(type(obj))}
-    values.update(zip(("nbar_min", "nbar_max", "nbar_points"), NBAR_GRID_DEFAULT))
-    values.update(zip(("theta_min", "theta_max", "theta_points"), THETA_GRID_DEFAULT))
+    values = {**vars(ExperimentConfig()), **vars(base), **CLI_DEFAULTS}
+    del values["imperfections"]
     if config_path is not None:
         values.update(parse_config_file(config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in values.items():
-        if CONFIG_KEYS[key] is float and value is not None and not math.isfinite(value):
-            raise CliError(f"{key} must be finite, got {value}")
+    for key in CLI_DEFAULTS:
+        if CONFIG_KEYS[key] is float and not math.isfinite(values[key]):
+            raise CliError(f"{key} must be finite, got {values[key]}")
     lo, hi = values["nbar_min"], values["nbar_max"]
     if not 0 < lo <= hi:
         raise CliError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
@@ -187,13 +199,23 @@ def load_config(config_path: str | None, overrides: dict,
     for key in ("nbar_points", "theta_points"):
         if not 1 <= values[key] <= GRID_POINTS_LIMIT:
             raise CliError(f"{key} must be >= 1 and <= {GRID_POINTS_LIMIT}, got {values[key]}")
+    omega_z = values["omega_z"]
+    if not omega_z > 0:
+        raise CliError(f"omega_z must be > 0, got {omega_z}")
 
     try:
-        UnitSystem(values["omega_z"])
         config = ExperimentConfig(
-            imperfections=Imperfections(**{key: values[key] for key in _fields(Imperfections)}),
-            **{key: values[key] for key in _fields(ExperimentConfig)},
+            imperfections=Imperfections(**{key: values[key] for key in vars(base)}),
+            **{key: values[key] for key in vars(ExperimentConfig()) if key in values},
         )
+        # The display lines of verify and run, at the effective nbar0's temperature.
+        nbar = config.effective_nbar0
+        q0_joule, t0, temp = _display_units(omega_z, temperature_from_nbar(nbar) if nbar else None)
+        if not (q0_joule >= sys.float_info.min and math.isfinite(t0)
+                and (temp is None or math.isfinite(temp))):
+            config.truncation()  # an nbar0 that no truncation holds is named as such
+            raise CliError(f"omega_z = {omega_z} gives q0_joule = {q0_joule}, t0_micro_kelvin = "
+                           f"{t0} and temperature_micro_kelvin = {temp} at nbar0 = {nbar}")
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return config, values
@@ -307,21 +329,20 @@ def _ledger_pairs(config: ExperimentConfig, values: dict, terms, e_initial: floa
     energies and heat, the equality terms of ``terms`` (a LandauerLedger or
     SweepRow), the pairs ``after_residual``, then the Q0/T0 quantities in
     joules and microkelvin."""
-    units = UnitSystem(values["omega_z"])
+    q0_joule, t0_micro_kelvin, temperature_micro_kelvin = _display_units(
+        values["omega_z"], terms.temperature)
     delta_q = e_final - e_initial
-    temperature = terms.temperature
     return [
         ("theta_c", config.theta_c), ("nbar0", config.effective_nbar0),
         ("pulse_duration_us", config.erasure_time), ("t_op_us", config.t_op),
         ("n_max", config.truncation()), ("e_initial_q0", e_initial), ("e_final_q0", e_final),
-        ("delta_q_q0", delta_q), ("temperature_t0", temperature), ("lhs", terms.lhs),
+        ("delta_q_q0", delta_q), ("temperature_t0", terms.temperature), ("lhs", terms.lhs),
         ("delta_s_nats", terms.delta_s), ("mutual_info_nats", terms.mutual_info),
         ("relative_entropy_nats", terms.relative_entropy), ("rhs", terms.rhs),
         ("residual", terms.residual), *after_residual,
-        ("q0_joule", units.q0_joule), ("t0_micro_kelvin", units.t0_kelvin * 1e6),
-        ("temperature_micro_kelvin",
-         None if temperature is None else temperature * units.t0_kelvin * 1e6),
-        ("delta_q_joule", delta_q * units.q0_joule),
+        ("q0_joule", q0_joule), ("t0_micro_kelvin", t0_micro_kelvin),
+        ("temperature_micro_kelvin", temperature_micro_kelvin),
+        ("delta_q_joule", delta_q * q0_joule),
     ]
 
 

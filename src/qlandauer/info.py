@@ -18,29 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import OMEGA_Z_DEFAULT, JointState, thermal_log_weights
-
-HBAR_JS = 1.054571817e-34
-KB_J_PER_K = 1.380649e-23
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Display conversions for the internal Q0/T0 unit normalization."""
-
-    omega_z: float = OMEGA_Z_DEFAULT  # rad/us
-
-    def __post_init__(self):
-        if not self.omega_z > 0:
-            raise ValueError(f"omega_z must be > 0, got {self.omega_z}")
-
-    @property
-    def q0_joule(self) -> float:
-        return HBAR_JS * self.omega_z * 1e6  # rad/us -> rad/s
-
-    @property
-    def t0_kelvin(self) -> float:
-        return self.q0_joule / KB_J_PER_K
+from .ion import JointState, thermal_log_weights
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ from .linalg import EIGENVALUE_FLOOR, TRACE_TOL, DensityMatrix
 
 # Default drive calibration: pi-pulse time (us) of sideband block 0.
 T_OP_DEFAULT = 33.0
-# Axial trap frequency, rad/us (omega_z / 2pi = 1.01 MHz).
-OMEGA_Z_DEFAULT = 2.0 * math.pi * 1.01
 
 # Tail probability allowed beyond the retained Fock levels.
 TRUNCATION_TAIL_TOL = 1e-12

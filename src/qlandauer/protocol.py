@@ -36,11 +36,6 @@ from .readout import (
     sample_shots,
 )
 
-# Default sweep grids: logarithmic in nbar for the temperature sweep,
-# linear in theta_c for the initial-state sweep.
-NBAR_GRID_DEFAULT = (0.01, 2.0, 25)
-THETA_GRID_DEFAULT = (0.0, math.pi, 49)
-
 CROSSING_TOL_RAD = 1e-4
 
 # Largest readout_points * (max(n_max, n_fit) + 1): each readout trace or
@@ -52,21 +47,12 @@ SHOTS_LIMIT = 2**63 - 1
 
 @dataclass(frozen=True)
 class Imperfections:
-    """Optional hardware imperfection knobs; all off in the ideal pipeline."""
+    """Optional hardware imperfection knobs; all off in the ideal pipeline.
+    Validated by the ExperimentConfig that holds them."""
 
     init_fidelity: float = 1.0      # weight on the correct level before the carrier
     detection_epsilon: float = 0.0  # symmetric readout misclassification
     cool_nbar: float = 0.0          # occupation floor left by cooling
-
-    def __post_init__(self):
-        if not 0.0 <= self.init_fidelity <= 1.0:
-            raise ValueError(f"init_fidelity must be in [0, 1], got {self.init_fidelity}")
-        if not 0.0 <= self.detection_epsilon <= 1.0:
-            raise ValueError(
-                f"detection_epsilon must be in [0, 1], got {self.detection_epsilon}"
-            )
-        if self.cool_nbar < 0:
-            raise ValueError(f"cool_nbar must be >= 0, got {self.cool_nbar}")
 
 
 # Quoted hardware values for the realistic preset.
@@ -100,6 +86,13 @@ class ExperimentConfig:
             for name, value in vars(part).items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
+        imp = self.imperfections
+        if not 0.0 <= imp.init_fidelity <= 1.0:
+            raise ValueError(f"init_fidelity must be in [0, 1], got {imp.init_fidelity}")
+        if not 0.0 <= imp.detection_epsilon <= 1.0:
+            raise ValueError(f"detection_epsilon must be in [0, 1], got {imp.detection_epsilon}")
+        if imp.cool_nbar < 0:
+            raise ValueError(f"cool_nbar must be >= 0, got {imp.cool_nbar}")
         if not 0.0 <= self.theta_c <= math.pi:
             raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:

@@ -6,13 +6,17 @@ import math
 import os
 import re
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import parse_sweep_table
 from qlandauer.cli import (
+    CLI_DEFAULTS,
     COMMAND_KEYS,
     CONFIG_KEYS,
     GRID_POINTS_LIMIT,
@@ -22,7 +26,7 @@ from qlandauer.cli import (
     parse_config_file,
     provenance_line,
 )
-from qlandauer.protocol import SWEEP_COLUMNS, ExperimentConfig
+from qlandauer.protocol import SWEEP_COLUMNS, ExperimentConfig, Imperfections
 
 FLOAT_KEYS = [key for key, kind in CONFIG_KEYS.items() if kind is float]
 
@@ -199,12 +203,20 @@ class TestVerify:
         assert summary_value(out, "verified") == "no"
         assert "n_max = 2" in err and "tail mass" in err
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_nonpositive_trap_frequency_names_key(self, value, capsys):
-        code, out, err = run_cli(["verify", "--omega-z", value], capsys)
-        assert code == 1
-        assert "omega_z" in err and "Traceback" not in err
-        assert out == ""
+    # 1.7e308 overflows t0_micro_kelvin to inf and 1e-320 underflows q0_joule
+    # to 0; both printed with verified = yes.
+    @pytest.mark.parametrize("value", ["-1", "0", "1.7e308", "1e-320"])
+    def test_nonpositive_trap_frequency_names_key(self, value, capsys, monkeypatch):
+        def no_erasure(config):
+            raise AssertionError("erasure ran before the omega_z check")
+
+        monkeypatch.setattr("qlandauer.protocol.run_erasure", no_erasure)
+        monkeypatch.setattr("qlandauer.cli.run_erasure", no_erasure)
+        for command in ("verify", "run"):
+            code, out, err = run_cli([command, "--omega-z", value], capsys)
+            assert code == 1
+            assert err.startswith("error: omega_z") and err.count("\n") == 1
+            assert out == ""
 
     def test_unbounded_nbar_names_key(self, capsys):
         code, out, err = run_cli(["verify", "--nbar0", "1e308"], capsys)
@@ -313,6 +325,63 @@ class TestArgumentValidation:
         assert err == (f"error: {key} must be >= 1 and <= {GRID_POINTS_LIMIT}, "
                        f"got {GRID_POINTS_LIMIT + 1}\n")
         assert out == ""
+
+
+# Edge values for the property below: zero, the smallest subnormal, values
+# near the ends of the double range, NaN and infinities, and for ints 2^63
+# (past numpy's int64) and 10^25.
+EDGE_VALUES = {
+    float: [0.0, 5e-324, 1e-300, 0.5, 1.0, 20.0, 1e300, 1.7e308, -1.0,
+            math.nan, math.inf, -math.inf],
+    int: [0, 1, 2, 50, 2**63, 10**25, -1],
+}
+# The commands that run no phonon fit.  Each sweep always sets its grid size,
+# to at most 5 points or a size refused before the grid is built.
+NO_FIT_COMMANDS = ("verify", "crossings", "sweep-temp", "sweep-theta")
+
+
+@st.composite
+def edge_argv(draw, command):
+    keys = COMMAND_KEYS[command]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+    argv = [command]
+    for key in dict.fromkeys(chosen + [key for key in keys if key.endswith("_points")]):
+        values = EDGE_VALUES[CONFIG_KEYS[key]]
+        if key.endswith("_points"):
+            values = [v for v in values if not 5 < v <= GRID_POINTS_LIMIT]
+        argv.append(f"{flag(key)}={draw(st.sampled_from(values))!r}")
+    return argv
+
+
+class TestEveryInput:
+    # No draw needs n_max above about 600 (nbar0 20); 1e300 and above need an
+    # infinite one and are refused before anything is allocated.
+    @settings(max_examples=500)
+    @given(argv=st.sampled_from(NO_FIT_COMMANDS).flatmap(edge_argv))
+    @example(argv=["verify", "--omega-z=1.7e+308"])  # once printed inf with verified = yes
+    def test_result_or_one_named_error(self, argv):
+        command = argv[0]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = parse_and_dispatch(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if code == 0:
+            for word in re.findall(r"[^\s,=]+", out.partition("\n")[2]):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(word)), (argv, word)
+            sides = []
+            if command == "verify":
+                sides = [(summary_value(out, "lhs"), summary_value(out, "rhs"))]
+            elif command != "crossings":
+                sides = [(row.lhs, row.rhs) for row in parse_sweep_table(out)[1]]
+            for lhs, rhs in sides:
+                if lhs not in (None, "divergent"):
+                    assert abs(float(lhs) - float(rhs)) < 1e-9, (argv, lhs, rhs)
 
 
 class TestConfigFile:
@@ -441,6 +510,15 @@ class TestPresets:
     def test_defaults_are_the_library_defaults(self):
         assert load_config(None, {})[0] == ExperimentConfig()
 
+    def test_each_key_has_one_default(self):
+        homes = ({f.name for f in dataclasses.fields(ExperimentConfig)} - {"imperfections"},
+                 {f.name for f in dataclasses.fields(Imperfections)}, set(CLI_DEFAULTS))
+        assert sum(map(len, homes)) == len(CONFIG_KEYS)
+        assert set().union(*homes) == set(CONFIG_KEYS)
+        defaults = {**vars(ExperimentConfig()), **vars(Imperfections()), **CLI_DEFAULTS}
+        for key, kind in CONFIG_KEYS.items():
+            assert defaults[key] is None or isinstance(defaults[key], kind), key
+
     def test_load_config_surface(self):
         config, values = load_config(None, {}, realistic=True)
         assert config.imperfections.init_fidelity == 0.989
@@ -565,8 +643,11 @@ class TestUnitDisplay:
     def test_verify_reports_display_units(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
-        assert abs(float(summary_value(out, "q0_joule")) - 6.692e-28) < 0.01e-28
-        assert abs(float(summary_value(out, "t0_micro_kelvin")) - 48.47) < 0.1
+        q0_joule = float(summary_value(out, "q0_joule"))
+        t0_kelvin = float(summary_value(out, "t0_micro_kelvin")) * 1e-6
+        assert abs(q0_joule - 6.692e-28) < 0.01e-28
+        assert abs(t0_kelvin * 1e6 - 48.47) < 0.1
+        assert abs(t0_kelvin - q0_joule / 1.380649e-23) < 1e-6 * t0_kelvin
         micro_kelvin = float(summary_value(out, "temperature_micro_kelvin"))
         assert 17.4 < micro_kelvin < 19.0
 

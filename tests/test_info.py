@@ -11,7 +11,6 @@ from oracle import (
     relative_entropy,
 )
 from qlandauer.info import (
-    UnitSystem,
     landauer_ledger,
     mutual_information,
     reservoir_energy,
@@ -188,19 +187,6 @@ class TestTemperatureMap:
         diag = rho.matrix.diagonal().real
         beta = math.log(diag[0] / diag[1])  # ln(p0/p1) = 1/T in T0 units
         assert abs(beta - 1 / temperature_from_nbar(nbar)) < 1e-12
-
-
-class TestUnitSystem:
-    def test_display_constants(self):
-        units = UnitSystem()
-        assert abs(units.q0_joule - 6.692e-28) < 0.01e-28
-        assert abs(units.t0_kelvin * 1e6 - 48.47) < 0.1
-        assert abs(units.t0_kelvin - units.q0_joule / 1.380649e-23) < 1e-6 * units.t0_kelvin
-
-    @pytest.mark.parametrize("omega_z", [-1.0, 0.0, math.nan])
-    def test_nonpositive_trap_frequency_names_key(self, omega_z):
-        with pytest.raises(ValueError, match="omega_z must be > 0"):
-            UnitSystem(omega_z)
 
 
 class TestLandauerLedger:
