@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from .info import temperature_from_nbar
 from .ion import TRUNCATION_TAIL_TOL, thermal_tail_mass
 from .protocol import (
     REALISTIC_IMPERFECTIONS,
@@ -58,7 +57,6 @@ CONFIG_KEYS = {
     "nbar0": float,
     "t_op": float,
     "t_pulse": float,
-    "omega_z": float,
     "n_max": int,
     "shots": int,
     "seed": int,
@@ -76,11 +74,9 @@ CONFIG_KEYS = {
     "theta_points": int,
 }
 
-# Defaults of the keys no experiment reads: the axial trap frequency (rad/us,
-# omega_z / 2pi = 1.01 MHz), which sets only the joule and microkelvin display
-# lines, and the sweep grids, logarithmic in nbar and linear in theta_c.
+# Defaults of the keys no experiment reads, the sweep grids: logarithmic in
+# nbar and linear in theta_c.
 CLI_DEFAULTS = {
-    "omega_z": 2.0 * math.pi * 1.01,
     "nbar_min": 0.01, "nbar_max": 2.0, "nbar_points": 25,
     "theta_min": 0.0, "theta_max": math.pi, "theta_points": 49,
 }
@@ -95,22 +91,18 @@ _ERASURE_KEYS = ("n_max", "init_fidelity", "cool_nbar", "seed")
 _READOUT_KEYS = ("theta_c", "nbar0", "t_op", "t_pulse", "shots", "readout_points",
                  "readout_span", "n_fit", "detection_epsilon", *_ERASURE_KEYS)
 COMMAND_KEYS = {
-    "verify": ("theta_c", "nbar0", "t_op", "t_pulse", "omega_z") + _ERASURE_KEYS,
+    "verify": ("theta_c", "nbar0", "t_op", "t_pulse") + _ERASURE_KEYS,
     "sweep-temp": ("nbar_min", "nbar_max", "nbar_points", "n_max", "cool_nbar", "seed"),
     "sweep-theta": ("nbar0", "theta_min", "theta_max", "theta_points") + _ERASURE_KEYS,
     "crossings": ("nbar0",) + _ERASURE_KEYS,
     "readout": _READOUT_KEYS,
-    "run": _READOUT_KEYS + ("omega_z",),
+    "run": _READOUT_KEYS,
 }
-
-
-class CliError(Exception):
-    """Validation failure; message names the offending key or value."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -123,9 +115,6 @@ def _build_parser() -> _Parser:
                         help="flat key = value config file")
         sp.add_argument("--output", "-o", dest="output_path", default=None,
                         help="write results here instead of stdout")
-        if name in ("run", "readout"):
-            sp.add_argument("--format", choices=("table", "structured"),
-                            default="structured", help="output format")
         sp.add_argument("--realistic", action="store_true",
                         help="enable the quoted hardware imperfection preset")
         for key in keys:
@@ -141,35 +130,31 @@ def parse_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
         if key not in CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](text)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
 
 
+# The joule and microkelvin display lines of verify and run, at the axial
+# trap frequency omega_z / 2pi = 1.01 MHz.  Every other number is in units
+# of Q0 = hbar*omega_z and T0 = Q0/kB, which scale linearly with omega_z.
 HBAR_JS = 1.054571817e-34
 KB_J_PER_K = 1.380649e-23
-
-
-def _display_units(omega_z: float, temperature: float | None) -> tuple:
-    """q0_joule, t0_micro_kelvin and temperature_micro_kelvin (None at a None
-    temperature, in units of T0) at the trap frequency omega_z, rad/us."""
-    q0_joule = HBAR_JS * omega_z * 1e6  # rad/us -> rad/s
-    t0_kelvin = q0_joule / KB_J_PER_K
-    return (q0_joule, t0_kelvin * 1e6,
-            None if temperature is None else temperature * t0_kelvin * 1e6)
+Q0_JOULE = HBAR_JS * (2.0 * math.pi * 1.01) * 1e6  # rad/us -> rad/s
+T0_KELVIN = Q0_JOULE / KB_J_PER_K
 
 
 def load_config(config_path: str | None, overrides: dict,
@@ -189,36 +174,20 @@ def load_config(config_path: str | None, overrides: dict,
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key in CLI_DEFAULTS:
         if CONFIG_KEYS[key] is float and not math.isfinite(values[key]):
-            raise CliError(f"{key} must be finite, got {values[key]}")
+            raise ValueError(f"{key} must be finite, got {values[key]}")
     lo, hi = values["nbar_min"], values["nbar_max"]
     if not 0 < lo <= hi:
-        raise CliError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
+        raise ValueError(f"invalid nbar grid: nbar_min={lo}, nbar_max={hi}")
     lo, hi = values["theta_min"], values["theta_max"]
     if not 0 <= lo <= hi <= math.pi:
-        raise CliError(f"invalid theta grid: theta_min={lo}, theta_max={hi}")
+        raise ValueError(f"invalid theta grid: theta_min={lo}, theta_max={hi}")
     for key in ("nbar_points", "theta_points"):
         if not 1 <= values[key] <= GRID_POINTS_LIMIT:
-            raise CliError(f"{key} must be >= 1 and <= {GRID_POINTS_LIMIT}, got {values[key]}")
-    omega_z = values["omega_z"]
-    if not omega_z > 0:
-        raise CliError(f"omega_z must be > 0, got {omega_z}")
-
-    try:
-        config = ExperimentConfig(
-            imperfections=Imperfections(**{key: values[key] for key in vars(base)}),
-            **{key: values[key] for key in vars(ExperimentConfig()) if key in values},
-        )
-        # The display lines of verify and run, at the effective nbar0's temperature.
-        nbar = config.effective_nbar0
-        q0_joule, t0, temp = _display_units(omega_z, temperature_from_nbar(nbar) if nbar else None)
-        if not (q0_joule >= sys.float_info.min and math.isfinite(t0)
-                and (temp is None or math.isfinite(temp))):
-            config.truncation()  # an nbar0 that no truncation holds is named as such
-            raise CliError(f"omega_z = {omega_z} gives q0_joule = {q0_joule}, t0_micro_kelvin = "
-                           f"{t0} and temperature_micro_kelvin = {temp} at nbar0 = {nbar}")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return config, values
+            raise ValueError(f"{key} must be >= 1 and <= {GRID_POINTS_LIMIT}, got {values[key]}")
+    return ExperimentConfig(
+        imperfections=Imperfections(**{key: values[key] for key in vars(base)}),
+        **{key: values[key] for key in vars(ExperimentConfig()) if key in values},
+    ), values
 
 
 def provenance_line(command: str, values: dict) -> str:
@@ -258,7 +227,7 @@ def _warn(text: str) -> None:
 
 def _emit(text: str, output_path: str | None) -> None:
     """Write ``text`` to stdout, or over the file at ``output_path``; a
-    failed write is a CliError either way.
+    failed write is a ValueError either way.
 
     The file is opened without O_TRUNC and, if it is a regular file, cut at
     the written length after the write.  On ext4 an open with O_TRUNC of a
@@ -272,7 +241,7 @@ def _emit(text: str, output_path: str | None) -> None:
         try:
             _write_stream(sys.stdout, text)
         except OSError as exc:
-            raise CliError(f"cannot write standard output: {exc.strerror}") from exc
+            raise ValueError(f"cannot write standard output: {exc.strerror}") from exc
         return
     try:
         fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -288,18 +257,21 @@ def _emit(text: str, output_path: str | None) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise CliError(f"cannot write output file {output_path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write output file {output_path}: {exc.strerror}") from exc
 
 
 def _check_truncation(config: ExperimentConfig, failures: list[str]) -> float:
-    """The thermal mass beyond n_max; a tail above TRUNCATION_TAIL_TOL is
-    added to ``failures``.  The renormalised Gibbs state makes the equality
+    """The thermal mass beyond n_max.  Adds to ``failures`` when it, or the
+    mass on level n_max (|up,n_max> is dark to the red pulse), exceeds
+    TRUNCATION_TAIL_TOL.  The renormalised Gibbs state makes the equality
     exact at any n_max, so the residual cannot show a short one."""
-    n_max = config.truncation()
-    tail = thermal_tail_mass(config.effective_nbar0, n_max)
-    if tail > TRUNCATION_TAIL_TOL:
-        failures.append(f"n_max = {n_max} leaves thermal tail mass {tail:.3e} beyond "
-                        f"{TRUNCATION_TAIL_TOL}; raise n_max or leave it unset")
+    n_max, nbar = config.truncation(), config.effective_nbar0
+    tail = thermal_tail_mass(nbar, n_max)
+    level = tail / nbar if nbar else 0.0  # (1 - q) q^n_max with q = nbar / (1 + nbar)
+    if max(tail, level) > TRUNCATION_TAIL_TOL:
+        failures.append(f"n_max = {n_max} leaves thermal tail mass {tail:.3e} and mass "
+                        f"{level:.3e} on level {n_max}, beyond {TRUNCATION_TAIL_TOL}; "
+                        "raise n_max or leave it unset")
     return tail
 
 
@@ -323,26 +295,26 @@ def _summary(provenance: str, pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ledger_pairs(config: ExperimentConfig, values: dict, terms, e_initial: float,
-                  e_final: float, *after_residual) -> list:
+def _ledger_pairs(config: ExperimentConfig, terms, e_initial: float, e_final: float,
+                  *after_residual) -> list:
     """The ledger block of verify and run: the erasure's settings, its
     energies and heat, the equality terms of ``terms`` (a LandauerLedger or
     SweepRow), the pairs ``after_residual``, then the Q0/T0 quantities in
     joules and microkelvin."""
-    q0_joule, t0_micro_kelvin, temperature_micro_kelvin = _display_units(
-        values["omega_z"], terms.temperature)
+    temperature = terms.temperature
     delta_q = e_final - e_initial
     return [
         ("theta_c", config.theta_c), ("nbar0", config.effective_nbar0),
         ("pulse_duration_us", config.erasure_time), ("t_op_us", config.t_op),
         ("n_max", config.truncation()), ("e_initial_q0", e_initial), ("e_final_q0", e_final),
-        ("delta_q_q0", delta_q), ("temperature_t0", terms.temperature), ("lhs", terms.lhs),
+        ("delta_q_q0", delta_q), ("temperature_t0", temperature), ("lhs", terms.lhs),
         ("delta_s_nats", terms.delta_s), ("mutual_info_nats", terms.mutual_info),
         ("relative_entropy_nats", terms.relative_entropy), ("rhs", terms.rhs),
         ("residual", terms.residual), *after_residual,
-        ("q0_joule", q0_joule), ("t0_micro_kelvin", t0_micro_kelvin),
-        ("temperature_micro_kelvin", temperature_micro_kelvin),
-        ("delta_q_joule", delta_q * q0_joule),
+        ("q0_joule", Q0_JOULE), ("t0_micro_kelvin", T0_KELVIN * 1e6),
+        ("temperature_micro_kelvin", None if temperature is None
+         else temperature * T0_KELVIN * 1e6),
+        ("delta_q_joule", delta_q * Q0_JOULE),
     ]
 
 
@@ -358,7 +330,7 @@ def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> 
     if not abs(heat_residual) < VERIFY_RESIDUAL_BOUND:
         failures.append(f"heat conservation residual {heat_residual:.3e} exceeds "
                         f"{VERIFY_RESIDUAL_BOUND}")
-    pairs = _ledger_pairs(config, values, ledger, ledger.e_initial, ledger.e_final,
+    pairs = _ledger_pairs(config, ledger, ledger.e_initial, ledger.e_final,
                           ("heat_conservation_residual", heat_residual))
     tail = _check_truncation(config, failures)
     verdict = "divergent" if ledger.divergent else "no" if failures else "yes"
@@ -366,25 +338,21 @@ def _cmd_verify(config: ExperimentConfig, values: dict, failures: list[str]) -> 
                     [*pairs, ("truncation_tail_mass", tail), ("verified", verdict)])
 
 
-def _cmd_readout(command: str, config: ExperimentConfig, values: dict, fmt: str,
-                 failures: list[str]) -> str:
+def _cmd_readout(command: str, config: ExperimentConfig, values: dict, failures: list[str]) -> str:
     """readout and run: one erasure plus the phonon readout of both states."""
     row = simulated_readout_run(config)
     _check_equality([row.residual], failures)
     if not row.fit_converged:
         failures.append("phonon fit hit the iteration cap without converging")
     tail = _check_truncation(config, failures)
-    provenance = provenance_line(command, values)
-    if fmt == "table":
-        return format_sweep_table([row], provenance)
     # The row carries every ledger term of its erasure; its exact mean
     # phonon numbers are the pre- and post-erasure energies.
-    head = (_ledger_pairs(config, values, row, row.exact_mean_phonon_pre, row.exact_mean_phonon)
+    head = (_ledger_pairs(config, row, row.exact_mean_phonon_pre, row.exact_mean_phonon)
             if command == "run" else [("theta_c", config.theta_c), ("nbar0", row.nbar0)])
     readout = [(name, getattr(row, name)) for name in (
         "exact_mean_phonon_pre", "fitted_mean_phonon_pre", "exact_mean_phonon",
         "fitted_mean_phonon", "delta_q_estimate", "p_up_final")]
-    return _summary(provenance, [*head, *readout, ("shots", config.shots),
+    return _summary(provenance_line(command, values), [*head, *readout, ("shots", config.shots),
                                  ("fit_converged", "yes" if row.fit_converged else "no"),
                                  ("truncation_tail_mass", tail)])
 
@@ -422,14 +390,14 @@ def parse_and_dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
-            raise CliError("a subcommand is required: " + ", ".join(COMMAND_KEYS))
+            raise ValueError("a subcommand is required: " + ", ".join(COMMAND_KEYS))
         overrides = {key: getattr(args, key) for key in COMMAND_KEYS[args.subcommand]}
         config, values = load_config(args.config_path, overrides, args.realistic)
         failures: list[str] = []
         if args.subcommand == "verify":
             text = _cmd_verify(config, values, failures)
         elif args.subcommand in ("readout", "run"):
-            text = _cmd_readout(args.subcommand, config, values, args.format, failures)
+            text = _cmd_readout(args.subcommand, config, values, failures)
         elif args.subcommand == "sweep-temp":
             text = _cmd_sweep_temp(config, values, failures)
         elif args.subcommand == "sweep-theta":
@@ -442,7 +410,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         finally:
             if failures:
                 _warn(f"numerical failure: {'; '.join(failures)}")
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         _warn(f"error: {exc}")
         return EXIT_VALIDATION
     return EXIT_NUMERICAL if failures else EXIT_OK

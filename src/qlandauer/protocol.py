@@ -97,6 +97,9 @@ class ExperimentConfig:
             raise ValueError(f"theta_c must lie in [0, pi], got {self.theta_c}")
         if self.nbar0 < 0:
             raise ValueError(f"nbar0 must be >= 0, got {self.nbar0}")
+        for name, nbar in (("nbar0", self.nbar0), ("cool_nbar", imp.cool_nbar)):
+            if not nbar / (1.0 + nbar) < 1.0:  # from 2**53 up: no truncation holds it
+                raise ValueError(f"{name} = {nbar} needs infinite n_max: nbar/(1+nbar) rounds to 1")
         if self.t_op <= 0:
             raise ValueError(f"t_op must be > 0, got {self.t_op}")
         if self.t_pulse is not None and self.t_pulse < 0:
@@ -274,15 +277,17 @@ def simulated_readout_run(config: ExperimentConfig) -> SweepRow:
     populations, is rejected before the erasure runs; that check
     (fit_design_matrix) builds the one design matrix both fits use.
     """
-    # The truncation first: it refuses by name an nbar0 that needs infinite n_max.
+    # The truncation first: it refuses by name an nbar0 that needs n_max above the limit.
     n_max = config.truncation()
     n_fit = config.n_fit if config.n_fit is not None else default_n_fit(config.effective_nbar0)
     cells = config.readout_points * (max(n_max, n_fit) + 1)
     if cells > READOUT_CELLS_LIMIT:
-        raise ValueError(
-            f"readout_points = {config.readout_points} gives readout arrays of {cells} "
-            f"values, above the limit {READOUT_CELLS_LIMIT}; lower readout_points"
-        )
+        points = f"readout_points = {config.readout_points}"
+        arrays = f"readout arrays of {cells} values, above the limit {READOUT_CELLS_LIMIT}"
+        if n_fit <= n_max:
+            raise ValueError(f"{points} gives {arrays}; lower readout_points")
+        default = "" if config.n_fit else f", the default at nbar0 = {config.effective_nbar0},"
+        raise ValueError(f"n_fit = {n_fit}{default} and {points} give {arrays}; lower n_fit")
     times = config.readout_times()
     eps = config.imperfections.detection_epsilon
     a = fit_design_matrix(n_fit, config.t_op, times, eps)

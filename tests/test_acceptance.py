@@ -164,7 +164,7 @@ def test_criterion_8_erasure_quality():
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    args = ["readout", "--shots", "100", "--seed", "11", "--format", "table"]
+    args = ["readout", "--shots", "100", "--seed", "11"]
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     code_a = parse_and_dispatch(args + ["--output", str(out_a)])
     code_b = parse_and_dispatch(args + ["--output", str(out_b)])
